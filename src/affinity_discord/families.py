@@ -101,38 +101,36 @@ def werner_two_qubit_discords(p: float) -> tuple[float, float]:
 def werner_general_discords(m: int, x: float) -> tuple[float, float]:
     """(affinity, HS) discords of the m x m Werner state.
 
-    Affinity: ((m-x)/(m+1) - sqrt((m-1)(1-x^2)/(m+1)))/2, zero exactly at
-    x = 1/m.  HS: (m x - 1)^2 / (m (m-1) (m+1)^2).
+    Affinity: (A - B)/2 with A = (m-x)/(m+1) and B = sqrt((m-1)(1-x^2)/(m+1)),
+    zero exactly at x = 1/m.  Since A^2 - B^2 = (m x - 1)^2/(m+1)^2, it is
+    evaluated as (m x - 1)^2 / (2 (m+1)^2 (A + B)), which is never negative.
+    HS: (m x - 1)^2 / (m (m-1) (m+1)^2).
     """
     if m < 2:
         raise OutOfRangeError(f"Werner dimension m={m} must be at least 2")
     if not (-1.0 - 1e-12 <= x <= 1.0 + 1e-12):
         raise OutOfRangeError(f"Werner parameter x={x} outside [-1, 1]")
-    aff = 0.5 * ((m - x) / (m + 1.0) - _safe_sqrt((m - 1.0) * (1.0 - x * x) / (m + 1.0)))
-    if aff < 0.0:  # round-off at the zero point
-        aff = max(aff, -1e-12)
+    a = (m - x) / (m + 1.0)
+    b = _safe_sqrt((m - 1.0) * (1.0 - x * x) / (m + 1.0))
+    aff = (m * x - 1.0) ** 2 / (2.0 * (m + 1.0) ** 2 * (a + b))
     hs = (m * x - 1.0) ** 2 / (m * (m - 1.0) * (m + 1.0) ** 2)
     return aff, hs
 
 
-def isotropic_discords(
-    m: int, x: float, literal_hs_exponent: bool = False
-) -> tuple[float, float]:
+def isotropic_discords(m: int, x: float) -> tuple[float, float]:
     """(affinity, HS) discords of the m x m isotropic state.
 
     Affinity: (sqrt((m-1)x) - sqrt((1-x)/(m+1)))^2 / m, zero exactly at
     x = 1/m^2.  HS: (m^2 x - 1)^2 / (m (m-1) (m+1)^2); the squared numerator
     is the normative choice since its large-m limit is x^2 (and it matches
-    the Bell-diagonal reduction at m = 2). ``literal_hs_exponent`` keeps the
-    first-power numerator for comparison.
+    the Bell-diagonal reduction at m = 2).
     """
     if m < 2:
         raise OutOfRangeError(f"isotropic dimension m={m} must be at least 2")
     if not (-1e-12 <= x <= 1.0 + 1e-12):
         raise OutOfRangeError(f"isotropic parameter x={x} outside [0, 1]")
     aff = (_safe_sqrt((m - 1.0) * x) - _safe_sqrt((1.0 - x) / (m + 1.0))) ** 2 / m
-    num = (m * m * x - 1.0) if literal_hs_exponent else (m * m * x - 1.0) ** 2
-    hs = num / (m * (m - 1.0) * (m + 1.0) ** 2)
+    hs = (m * m * x - 1.0) ** 2 / (m * (m - 1.0) * (m + 1.0) ** 2)
     return aff, hs
 
 

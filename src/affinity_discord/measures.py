@@ -1,12 +1,15 @@
 """Affinity, measurement pinching, discord functionals, and optimization.
 
-The central per-measurement quantity is the pinched overlap
+Every discord here is ``offset - max sum_k vec(P_k)^dagger K vec(P_k)``, the
+maximum taken over rank-1 projective bases {P_k} on party A, with
 
-    sum_k Tr[ S (Pi_k x 1) S (Pi_k x 1) ]
+    K = R(S) R(S)^dagger,    R(S)[(a, b), (i, j)] = S[(a, i), (b, j)].
 
-evaluated with S = sqrt(rho) for the affinity/remedied measures and S = rho
-for the Hilbert-Schmidt measure. Maximizing it over projective bases on
-party A yields the corresponding geometric discord.
+The sum is the pinched overlap sum_k Tr[S (P_k x 1) S (P_k x 1)]. The
+affinity and remedied measures take S = sqrt(rho) and offset 1; the
+Hilbert-Schmidt measure takes S = rho and offset Tr(rho^2). K is
+dim_a^2 x dim_a^2 and is built once per state, so dim_b enters only there:
+every evaluation after it costs the same for any dim_b.
 """
 
 from __future__ import annotations
@@ -79,20 +82,6 @@ class MeasurementBasis:
         return basis
 
     @classmethod
-    def from_projectors(cls, projectors, tol: Tolerances = DEFAULT_TOLERANCES) -> "MeasurementBasis":
-        vecs = []
-        for proj in projectors:
-            w, v = linalg.hermitian_eig(proj, tol)
-            if abs(w[-1] - 1.0) > tol.projector_tolerance or np.any(
-                np.abs(w[:-1]) > tol.projector_tolerance
-            ):
-                raise ValidationError("projector is not rank-1 idempotent")
-            vecs.append(v[:, -1])
-        basis = cls(len(vecs), np.array(vecs))
-        basis.check(tol)
-        return basis
-
-    @classmethod
     def from_angles(cls, theta: float, phi: float) -> "MeasurementBasis":
         """Qubit basis along the Bloch direction (theta, phi)."""
         return cls(2, _qubit_vectors(np.asarray(theta), np.asarray(phi)))
@@ -138,7 +127,7 @@ class AncillaReport:
     sigma_purity: float
 
 
-# --- pinched-overlap evaluation ---------------------------------------------
+# --- overlap kernel ----------------------------------------------------------
 
 
 def _qubit_vectors(theta, phi) -> np.ndarray:
@@ -156,19 +145,30 @@ def _qubit_vectors(theta, phi) -> np.ndarray:
     return out
 
 
-def _pinched_overlap(s4: np.ndarray, vectors: np.ndarray) -> float:
-    """sum_k Tr[M_k^2] with M_k = (<v_k| x 1) S (|v_k> x 1) for one basis."""
-    m = np.einsum("ka,aibj,kb->kij", vectors.conj(), s4, vectors)
-    return float(np.real(np.einsum("kij,kji->", m, m)))
+def _overlap_kernel(s: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """K = R R^dagger for the realignment R[(a, b), (i, j)] = S[(a, i), (b, j)]."""
+    r = s.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
+    r = r.reshape(dim_a * dim_a, dim_b * dim_b)
+    return r @ r.conj().T
 
 
-def _pinched_overlap_batch(s4: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Vectorized pinched overlap for a stack of bases, shape (G, m, m) -> (G,)."""
+def _overlap(k: np.ndarray, vectors: np.ndarray):
+    """sum_k vec(P_k)^dagger K vec(P_k) for the kets v_k in the rows of ``vectors``.
+
+    One basis, shape (m, m), gives a float. A stack of bases, shape (G, m, m),
+    gives shape (G,), evaluated _BATCH bases at a time as one
+    (chunk * m, m^2) @ K^T product.
+    """
+    m = vectors.shape[-1]
+    if vectors.ndim == 2:
+        q = (vectors[:, :, None] * vectors[:, None, :].conj()).reshape(m, m * m)
+        return float(np.real(np.vdot(q, q @ k.T)))
     out = np.empty(vectors.shape[0], dtype=np.float64)
     for lo in range(0, vectors.shape[0], _BATCH):
         chunk = vectors[lo : lo + _BATCH]
-        m = np.einsum("gka,aibj,gkb->gkij", chunk.conj(), s4, chunk, optimize=True)
-        out[lo : lo + _BATCH] = np.real(np.einsum("gkij,gkji->g", m, m, optimize=True))
+        q = (chunk[..., :, None] * chunk[..., None, :].conj()).reshape(-1, m * m)
+        per_ket = np.real(np.sum(q.conj() * (q @ k.T), axis=1))
+        out[lo : lo + _BATCH] = per_ket.reshape(-1, m).sum(axis=1)
     return out
 
 
@@ -223,6 +223,17 @@ def post_measurement(
     return BipartiteState(state.dim_a, state.dim_b, pinched)
 
 
+def _functional_at(
+    state: BipartiteState, basis: MeasurementBasis, s: np.ndarray, offset: float
+) -> float:
+    if basis.dim != state.dim_a:
+        raise DimensionMismatchError(
+            f"basis dimension {basis.dim} does not match dim_a={state.dim_a}"
+        )
+    k = _overlap_kernel(s, state.dim_a, state.dim_b)
+    return offset - _overlap(k, np.asarray(basis.vectors))
+
+
 def affinity_discord_at(
     state: BipartiteState, basis: MeasurementBasis, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
@@ -232,26 +243,14 @@ def affinity_discord_at(
     1 - sum_k Tr[sqrt(rho) (Pi_k x 1) sqrt(rho) (Pi_k x 1)], which equals the
     squared Hilbert-Schmidt distance between sqrt(rho) and its pinching.
     """
-    if basis.dim != state.dim_a:
-        raise DimensionMismatchError(
-            f"basis dimension {basis.dim} does not match dim_a={state.dim_a}"
-        )
-    s = state.sqrt(tol)
-    s4 = s.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)
-    return 1.0 - _pinched_overlap(s4, np.asarray(basis.vectors))
+    return _functional_at(state, basis, state.sqrt(tol), 1.0)
 
 
 def hs_discord_at(
     state: BipartiteState, basis: MeasurementBasis, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> float:
     """Hilbert-Schmidt discord functional ||rho - pinched(rho)||^2 at a fixed basis."""
-    if basis.dim != state.dim_a:
-        raise DimensionMismatchError(
-            f"basis dimension {basis.dim} does not match dim_a={state.dim_a}"
-        )
-    rho = np.asarray(state.rho)
-    r4 = rho.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)
-    return state.purity() - _pinched_overlap(r4, np.asarray(basis.vectors))
+    return _functional_at(state, basis, np.asarray(state.rho), state.purity())
 
 
 def affinity_to_measured(
@@ -295,11 +294,6 @@ def _unitary_exp_i(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-class _EvalCounter:
-    def __init__(self):
-        self.count = 0
-
-
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -316,29 +310,23 @@ def _grid_shape(budget: int | None) -> tuple[int, int, int]:
     return n_theta, n_phi, refine
 
 
-def _maximize_overlap_grid(
-    s4: np.ndarray, budget: int | None, rel_tol: float
+def _maximize_grid(
+    k: np.ndarray, budget: int | None, rel_tol: float
 ) -> tuple[float, np.ndarray, MeasurementBasis, int]:
     n_theta, n_phi, refine = _grid_shape(budget)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     vectors = _qubit_vectors(tt.ravel(), pp.ravel())
-    values = _pinched_overlap_batch(s4, vectors)
+    values = _overlap(k, vectors)
     best = int(np.argmax(values))
     best_val = float(values[best])
     best_angles = np.array([tt.ravel()[best], pp.ravel()[best]])
     evals = vectors.shape[0]
 
     if refine > 0:
-        counter = _EvalCounter()
-
-        def negative(angles):
-            counter.count += 1
-            return -_pinched_overlap(s4, _qubit_vectors(angles[0], angles[1]))
-
         res = sciopt.minimize(
-            negative,
+            lambda angles: -_overlap(k, _qubit_vectors(angles[0], angles[1])),
             best_angles,
             method="Nelder-Mead",
             options={
@@ -347,7 +335,7 @@ def _maximize_overlap_grid(
                 "fatol": rel_tol * max(1.0, abs(best_val)) * 1e-2,
             },
         )
-        evals += counter.count
+        evals += res.nfev
         if -res.fun > best_val:
             best_val = float(-res.fun)
             best_angles = np.asarray(res.x, dtype=np.float64)
@@ -355,14 +343,10 @@ def _maximize_overlap_grid(
     return best_val, best_angles, basis, evals
 
 
-def _maximize_overlap_multistart(
-    s4: np.ndarray,
-    dim_a: int,
-    budget: int | None,
-    seed,
-    include_marginal_start: bool,
-    marginal: np.ndarray | None,
+def _maximize_multistart(
+    k: np.ndarray, dim_a: int, budget: int | None, seed, marginal: np.ndarray | None
 ) -> tuple[float, np.ndarray, MeasurementBasis, int]:
+    """Seeded Nelder-Mead restarts; ``marginal``, if given, seeds the first start."""
     starts = MULTISTART_DEFAULT if budget is None else max(1, budget // NM_MAXFEV_PER_START)
     n_params = dim_a * dim_a
     seeds = _seed_sequence(seed).spawn(starts)
@@ -374,17 +358,15 @@ def _maximize_overlap_multistart(
     evals = 0
     for j in range(starts):
         rng = np.random.default_rng(seeds[j])
-        if j == 0 and include_marginal_start and marginal is not None:
+        if j == 0 and marginal is not None:
             _, u0 = np.linalg.eigh(marginal)
         else:
             g = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a))
             _, u0 = np.linalg.eigh((g + g.conj().T) / 2.0)
-        counter = _EvalCounter()
 
-        def negative(t, u0=u0, counter=counter):
-            counter.count += 1
+        def negative(t, u0=u0):
             u = u0 @ _unitary_exp_i(_hermitian_from_params(t, dim_a))
-            return -_pinched_overlap(s4, u.T)
+            return -_overlap(k, u.T)
 
         res = sciopt.minimize(
             negative,
@@ -397,7 +379,7 @@ def _maximize_overlap_multistart(
                 "initial_simplex": simplex,
             },
         )
-        evals += counter.count
+        evals += res.nfev
         if -res.fun > best_val:
             best_val = float(-res.fun)
             best_params = np.asarray(res.x, dtype=np.float64)
@@ -407,40 +389,37 @@ def _maximize_overlap_multistart(
     return best_val, best_params, basis, evals
 
 
-def _maximize_overlap(
+def _optimize(
+    state: BipartiteState,
     s: np.ndarray,
-    dim_a: int,
-    dim_b: int,
+    offset: float,
     strategy: str,
     budget: int | None,
     seed,
-    marginal: np.ndarray | None,
     tol: Tolerances,
-) -> tuple[float, np.ndarray | None, MeasurementBasis, int, str]:
+) -> DiscordResult:
+    """Minimize ``offset - overlap`` over projective bases on A, with K built from S."""
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    dim_a = state.dim_a
     if dim_a > MAX_OPT_DIM:
         raise UnsupportedDimensionError(
             f"optimization supports dim_a <= {MAX_OPT_DIM}, got {dim_a}"
         )
-    s4 = s.reshape(dim_a, dim_b, dim_a, dim_b)
+    k = _overlap_kernel(s, dim_a, state.dim_b)
     if dim_a == 1:
         basis = MeasurementBasis.computational(1)
-        return _pinched_overlap(s4, basis.vectors), None, basis, 1, "optimized-grid"
-
-    if strategy == "grid" or (strategy == "hybrid" and dim_a == 2):
+        best, params, evals, method = _overlap(k, basis.vectors), None, 1, "optimized-grid"
+    elif strategy == "grid" or (strategy == "hybrid" and dim_a == 2):
         if dim_a != 2:
             raise UnsupportedDimensionError("grid strategy requires dim_a = 2")
-        val, params, basis, evals = _maximize_overlap_grid(
-            s4, budget, tol.optimizer_rel_improvement
-        )
-        return val, params, basis, evals, "optimized-grid"
-
-    include_marginal = strategy == "hybrid"
-    val, params, basis, evals = _maximize_overlap_multistart(
-        s4, dim_a, budget, seed, include_marginal, marginal
-    )
-    return val, params, basis, evals, "optimized-local"
+        best, params, basis, evals = _maximize_grid(k, budget, tol.optimizer_rel_improvement)
+        method = "optimized-grid"
+    else:
+        marginal = state.marginal("a") if strategy == "hybrid" else None
+        best, params, basis, evals = _maximize_multistart(k, dim_a, budget, seed, marginal)
+        method = "optimized-local"
+    return DiscordResult(offset - best, method, basis, parameters=params, evaluations=evals)
 
 
 def optimize_affinity_discord(
@@ -458,11 +437,7 @@ def optimize_affinity_discord(
     the marginal eigenbasis as the first start). ``budget`` caps functional
     evaluations; identical seeds give identical results.
     """
-    s = state.sqrt(tol)
-    best, params, basis, evals, method = _maximize_overlap(
-        s, state.dim_a, state.dim_b, strategy, budget, seed, state.marginal("a"), tol
-    )
-    return DiscordResult(1.0 - best, method, basis, parameters=params, evaluations=evals)
+    return _optimize(state, state.sqrt(tol), 1.0, strategy, budget, seed, tol)
 
 
 def optimize_hs_discord(
@@ -473,13 +448,7 @@ def optimize_hs_discord(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DiscordResult:
     """Minimize ||rho - pinched(rho)||^2 over projective bases on A."""
-    rho = np.asarray(state.rho)
-    best, params, basis, evals, method = _maximize_overlap(
-        rho, state.dim_a, state.dim_b, strategy, budget, seed, state.marginal("a"), tol
-    )
-    return DiscordResult(
-        state.purity() - best, method, basis, parameters=params, evaluations=evals
-    )
+    return _optimize(state, np.asarray(state.rho), state.purity(), strategy, budget, seed, tol)
 
 
 def remedied_hs_discord(
@@ -493,14 +462,9 @@ def remedied_hs_discord(
 
     Numerically identical to the affinity-based optimum; kept as a separate
     surface because it is the ancilla-safe repair of the Hilbert-Schmidt
-    measure.
+    measure. Tr(sqrt(rho)^2) = 1 for a unit-trace state, so the offset is 1.
     """
-    s = state.sqrt(tol)
-    best, params, basis, evals, method = _maximize_overlap(
-        s, state.dim_a, state.dim_b, strategy, budget, seed, state.marginal("a"), tol
-    )
-    # Tr(S^2) = 1 for a unit-trace state, so the distance is 1 - overlap.
-    return DiscordResult(1.0 - best, method, basis, parameters=params, evaluations=evals)
+    return _optimize(state, state.sqrt(tol), 1.0, strategy, budget, seed, tol)
 
 
 def ancilla_behavior_report(

@@ -98,7 +98,7 @@ def _require_density(mat, tol: Tolerances, what: str = "matrix") -> np.ndarray:
 
 
 def validate(rho, dim_a: int, dim_b: int, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
-    """Check Hermiticity, positivity, and unit trace; return the tagged state.
+    """Check finiteness, Hermiticity, positivity, and unit trace; return the tagged state.
 
     Eigenvalues in ``[-psd_epsilon, 0)`` are tolerated here and clamped later
     wherever a square root is taken.
@@ -108,6 +108,8 @@ def validate(rho, dim_a: int, dim_b: int, tol: Tolerances = DEFAULT_TOLERANCES) 
         raise DimensionMismatchError(
             f"matrix of size {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("state has non-finite (NaN or Inf) entries")
     sym = _require_density(arr, tol, what="state")
     return BipartiteState(dim_a, dim_b, sym)
 

@@ -20,25 +20,13 @@ class Tolerances:
     unit_trace: float = 1e-10
     psd_epsilon: float = 1e-8  # eigenvalues in [-psd_epsilon, 0) clamp to zero
     # Derived-quantity gates.
-    sqrt_residual: float = 1e-9
-    eig_reconstruction: float = 1e-10
     gamma_imag: float = 1e-10
-    parseval: float = 1e-10
-    basis_orthonormality: float = 1e-12
     projector_tolerance: float = 1e-10
     # Optimizer stopping rule.
     optimizer_rel_improvement: float = 1e-10
 
     def replace(self, **overrides: float) -> "Tolerances":
         return dataclasses.replace(self, **overrides)
-
-    @classmethod
-    def from_overrides(cls, overrides: dict[str, float]) -> "Tolerances":
-        known = {f.name for f in dataclasses.fields(cls)}
-        bad = sorted(set(overrides) - known)
-        if bad:
-            raise KeyError(f"unknown tolerance keys: {', '.join(bad)}")
-        return cls(**overrides)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -23,10 +23,10 @@ from .families import (
     werner_two_qubit_discords,
 )
 from .measures import (
+    _seed_sequence,
     affinity,
-    optimize_affinity_discord,
-    optimize_hs_discord,
     ancilla_behavior_report,
+    optimize_affinity_discord,
 )
 from .states import (
     BipartiteState,
@@ -82,12 +82,6 @@ class CheckResult:
         }
 
 
-def _seed_seq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def _result(name, tols, gaps, notes=None) -> CheckResult:
     used = {k: tols[k] for k in gaps if k in tols}
     passed = all(gap <= tols[key] for key, gap in gaps.items() if key in tols)
@@ -131,7 +125,7 @@ def check_fig1_werner_sweep(seed, tols) -> CheckResult:
 
 def check_pure_state_formula(seed, tols) -> CheckResult:
     """Optimized discord of pure states equals 1 - sum s_k^2."""
-    ss = _seed_seq(seed)
+    ss = _seed_sequence(seed)
     children = iter(ss.spawn(70))
     gap_opt = 0.0
     gap_closed = 0.0
@@ -160,7 +154,7 @@ def check_pure_state_formula(seed, tols) -> CheckResult:
 
 def check_closed_vs_optimizer(seed, tols) -> CheckResult:
     """Exact two-level closed form matches grid-plus-refinement optimization."""
-    ss = _seed_seq(seed)
+    ss = _seed_sequence(seed)
     children = iter(ss.spawn(100))
     gap = 0.0
     for i in range(50):
@@ -173,7 +167,7 @@ def check_closed_vs_optimizer(seed, tols) -> CheckResult:
 
 def check_bound_dominance(seed, tols) -> CheckResult:
     """Spectral lower bound never exceeds the optimized (or exact) discord."""
-    ss = _seed_seq(seed)
+    ss = _seed_sequence(seed)
     children = iter(ss.spawn(150))
     over_opt = -np.inf
     over_closed = -np.inf
@@ -200,7 +194,7 @@ def check_ancilla_invariance(seed, tols) -> CheckResult:
         "maximally-mixed": np.eye(2, dtype=complex) / 2.0,
         "diag(0.9,0.1)": np.diag([0.9, 0.1]).astype(complex),
     }
-    ss = _seed_seq(seed)
+    ss = _seed_sequence(seed)
     children = iter(ss.spawn(20))
     gap_aff = 0.0
     gap_hs = 0.0
@@ -219,7 +213,7 @@ def check_ancilla_invariance(seed, tols) -> CheckResult:
 
 def check_zero_discord_classes(seed, tols) -> CheckResult:
     """Classical-quantum and product states report (near) zero affinity discord."""
-    ss = _seed_seq(seed)
+    ss = _seed_sequence(seed)
     children = iter(ss.spawn(100))
     worst = 0.0
     for i in range(10):
@@ -246,7 +240,7 @@ def _auto_affinity_value(state: BipartiteState, seed) -> float:
 
 def check_local_unitary_invariance(seed, tols) -> CheckResult:
     """Discord is unchanged by local unitaries on either party."""
-    ss = _seed_seq(seed)
+    ss = _seed_sequence(seed)
     children = iter(ss.spawn(120))
     gap_closed = 0.0
     gap_opt = 0.0
@@ -292,7 +286,7 @@ def check_family_zeros_asymptotics(seed, tols) -> CheckResult:
 
 def check_m3_family_optimization(seed, tols) -> CheckResult:
     """Multistart optimizer reproduces the analytic m=3 Werner and isotropic values."""
-    ss = _seed_seq(seed)
+    ss = _seed_sequence(seed)
     children = iter(ss.spawn(30))
     rng = np.random.default_rng(next(children))
     gap = 0.0
@@ -311,7 +305,7 @@ def check_m3_family_optimization(seed, tols) -> CheckResult:
 
 def check_numerical_substrate(seed, tols) -> CheckResult:
     """Square-root residuals, expansion completeness, and affinity symmetry."""
-    ss = _seed_seq(seed)
+    ss = _seed_sequence(seed)
     children = iter(ss.spawn(80))
     gap_sqrt = 0.0
     gap_parseval = 0.0

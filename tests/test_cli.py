@@ -12,6 +12,7 @@ from affinity_discord.states import (
     product_state,
     random_density,
     save_state,
+    state_to_json,
     validate,
     werner_general,
     werner_two_qubit,
@@ -103,6 +104,16 @@ def test_compute_invalid_state_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", "--state", str(path))
     assert code == 2
     assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("cell", ["NaN", "Infinity"])
+def test_compute_non_finite_state_exits_2(tmp_path, capsys, cell):
+    text = state_to_json(validate(np.eye(4) / 4.0, 2, 2))
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text.replace('"re": 0.25', f'"re": {cell}', 1))
+    code, _, err = run_cli(capsys, "compute", "--state", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "ValidationError"
 
 
 def test_compute_missing_file_exits_2(capsys):

@@ -135,6 +135,22 @@ def test_werner_general_large_m_limit():
         assert hs < 0.02  # HS value decays with dimension
 
 
+def test_werner_general_never_negative_at_zero_point():
+    for m in range(2, 65):
+        x0 = 1.0 / m
+        for x in (np.nextafter(x0, -np.inf), x0, np.nextafter(x0, np.inf)):
+            assert werner_general_discords(m, x)[0] >= 0.0
+
+
+def test_werner_general_matches_difference_form():
+    # ((m-x)/(m+1) - sqrt((m-1)(1-x^2)/(m+1)))/2, the form the ratio replaces
+    for m in (2, 3, 5, 16, 64):
+        for x in np.linspace(-1.0, 1.0, 41):
+            radicand = max(0.0, (m - 1.0) * (1.0 - x * x) / (m + 1.0))
+            direct = 0.5 * ((m - x) / (m + 1.0) - np.sqrt(radicand))
+            assert abs(werner_general_discords(m, x)[0] - direct) < 1e-12
+
+
 def test_werner_general_out_of_range():
     with pytest.raises(OutOfRangeError):
         werner_general_discords(1, 0.0)
@@ -171,14 +187,6 @@ def test_isotropic_large_m_limits():
         aff, hs = isotropic_discords(64, x)
         assert abs(aff - x) < 0.05
         assert abs(hs - x * x) < 0.05
-
-
-def test_isotropic_literal_exponent_flag():
-    normative = isotropic_discords(3, 0.7)[1]
-    literal = isotropic_discords(3, 0.7, literal_hs_exponent=True)[1]
-    assert normative != literal
-    assert normative == pytest.approx((9 * 0.7 - 1.0) ** 2 / (3 * 2 * 16))
-    assert literal == pytest.approx((9 * 0.7 - 1.0) / (3 * 2 * 16))
 
 
 def test_isotropic_out_of_range():

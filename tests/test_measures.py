@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinity_discord import linalg
 from affinity_discord.correlation import closed_form_2xn
@@ -58,13 +60,6 @@ def test_basis_from_bloch_vector_direction():
     n_dot_sigma = sum(ri * si for ri, si in zip(r, linalg.PAULI))
     assert np.max(np.abs(basis.projectors[0] - (np.eye(2) + n_dot_sigma) / 2.0)) < 1e-12
     assert np.max(np.abs(basis.projectors[1] - (np.eye(2) - n_dot_sigma) / 2.0)) < 1e-12
-
-
-def test_basis_from_projectors_round_trip():
-    u = linalg.haar_unitary(2, seed=71)
-    basis = MeasurementBasis.from_unitary(u)
-    rebuilt = MeasurementBasis.from_projectors(list(basis.projectors))
-    assert np.max(np.abs(rebuilt.projectors - basis.projectors)) < 1e-10
 
 
 # --- affinity -------------------------------------------------------------------
@@ -185,6 +180,27 @@ def test_hs_discord_at_matches_direct_distance():
         state.rho - post_measurement(state, basis).rho
     )
     assert abs(hs_discord_at(state, basis) - direct) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim_a=st.integers(1, 4), dim_b=st.integers(1, 5), data=st.data())
+def test_functionals_equal_explicit_pinching_distances(dim_a, dim_b, data):
+    # the overlap kernel route against sum_k (Pi_k x 1) X (Pi_k x 1), written out
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rank = data.draw(st.integers(1, dim_a * dim_b), label="rank")
+    state = random_state(dim_a, dim_b, rank=rank, seed=seed)
+    basis = MeasurementBasis.from_unitary(linalg.haar_unitary(dim_a, seed))
+    eye_b = np.eye(dim_b)
+
+    def pinching_distance(x):
+        pinched = np.zeros_like(x)
+        for proj in basis.projectors:
+            big = np.kron(proj, eye_b)
+            pinched += big @ x @ big
+        return float(np.sum(np.abs(x - pinched) ** 2))
+
+    assert abs(affinity_discord_at(state, basis) - pinching_distance(state.sqrt())) < 1e-12
+    assert abs(hs_discord_at(state, basis) - pinching_distance(np.asarray(state.rho))) < 1e-12
 
 
 def test_literal_affinity_reading_differs_from_functional():

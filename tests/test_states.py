@@ -56,6 +56,12 @@ def test_validate_rejects_indefinite():
         validate(np.kron(linalg.SIGMA_Z, np.eye(2)) / 4.0 + np.eye(4) * 0, 2, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite(bad):
+    with pytest.raises(ValidationError):
+        validate(np.array([[bad, 0.0], [0.0, 0.5]]), 2, 1)
+
+
 def test_validate_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         validate(np.eye(4) / 4.0, 2, 3)
