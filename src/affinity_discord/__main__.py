@@ -1,0 +1,2 @@
+from .cli import entry_point
+entry_point()

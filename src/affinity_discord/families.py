@@ -62,7 +62,7 @@ def bell_diagonal_sqrt_data(c1: float, c2: float, c3: float) -> BellDiagonalSqrt
         )
     lams = np.clip(lams, 0.0, None)
     # same relative round-off policy as the matrix square root
-    lams[lams < np.max(lams) * 64 * np.finfo(np.float64).eps] = 0.0
+    lams[lams < np.max(lams) * lams.size * np.finfo(np.float64).eps] = 0.0
     r = np.sqrt(lams)
     h = float(np.sum(r))
     d = np.array(

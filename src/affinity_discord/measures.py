@@ -10,6 +10,12 @@ affinity and remedied measures take S = sqrt(rho) and offset 1; the
 Hilbert-Schmidt measure takes S = rho and offset Tr(rho^2). K is
 dim_a^2 x dim_a^2 and is built once per state, so dim_b enters only there:
 every evaluation after it costs the same for any dim_b.
+
+For a two-level A the basis is P_+/- = (1 +/- n.sigma)/2 and the overlap is
+the real quadratic form (c0 + n^T G n)/2 in the unit Bloch vector n, with
+c0 = vec(1)^dagger K vec(1) and G_ij = Re vec(sigma_i)^dagger K vec(sigma_j).
+The grid strategy evaluates its Bloch-angle lattice and its refinement on
+this form.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ GRID_PHI_DEFAULT = 360
 GRID_REFINE_DEFAULT = 500
 MULTISTART_DEFAULT = 64
 NM_MAXFEV_PER_START = 300
-_BATCH = 8192
 
 STRATEGIES = ("grid", "multistart-local", "hybrid")
 
@@ -84,7 +89,8 @@ class MeasurementBasis:
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "MeasurementBasis":
         """Qubit basis along the Bloch direction (theta, phi)."""
-        return cls(2, _qubit_vectors(np.asarray(theta), np.asarray(phi)))
+        c, s, e = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
+        return cls(2, np.array([[c, s * e], [s, -c * e]]))
 
     @classmethod
     def from_bloch_vector(cls, r) -> "MeasurementBasis":
@@ -130,21 +136,6 @@ class AncillaReport:
 # --- overlap kernel ----------------------------------------------------------
 
 
-def _qubit_vectors(theta, phi) -> np.ndarray:
-    """Orthonormal qubit pair for Bloch angles; shape (..., 2, 2), rows are kets."""
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    e = np.exp(1j * phi)
-    out = np.empty(np.broadcast(theta, phi).shape + (2, 2), dtype=np.complex128)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = s * e
-    out[..., 1, 0] = s
-    out[..., 1, 1] = -c * e
-    return out
-
-
 def _overlap_kernel(s: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     """K = R R^dagger for the realignment R[(a, b), (i, j)] = S[(a, i), (b, j)]."""
     r = s.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
@@ -152,24 +143,18 @@ def _overlap_kernel(s: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return r @ r.conj().T
 
 
-def _overlap(k: np.ndarray, vectors: np.ndarray):
-    """sum_k vec(P_k)^dagger K vec(P_k) for the kets v_k in the rows of ``vectors``.
-
-    One basis, shape (m, m), gives a float. A stack of bases, shape (G, m, m),
-    gives shape (G,), evaluated _BATCH bases at a time as one
-    (chunk * m, m^2) @ K^T product.
-    """
+def _overlap(k: np.ndarray, vectors: np.ndarray) -> float:
+    """sum_k vec(P_k)^dagger K vec(P_k) for the kets v_k in the rows of ``vectors``."""
     m = vectors.shape[-1]
-    if vectors.ndim == 2:
-        q = (vectors[:, :, None] * vectors[:, None, :].conj()).reshape(m, m * m)
-        return float(np.real(np.vdot(q, q @ k.T)))
-    out = np.empty(vectors.shape[0], dtype=np.float64)
-    for lo in range(0, vectors.shape[0], _BATCH):
-        chunk = vectors[lo : lo + _BATCH]
-        q = (chunk[..., :, None] * chunk[..., None, :].conj()).reshape(-1, m * m)
-        per_ket = np.real(np.sum(q.conj() * (q @ k.T), axis=1))
-        out[lo : lo + _BATCH] = per_ket.reshape(-1, m).sum(axis=1)
-    return out
+    q = (vectors[:, :, None] * vectors[:, None, :].conj()).reshape(m, m * m)
+    return float(np.real(np.vdot(q, q @ k.T)))
+
+
+def _bloch_form(k: np.ndarray) -> tuple[float, np.ndarray]:
+    """(c0, G) of the qubit Bloch form, with the row-major vec that ``_overlap`` uses."""
+    paulis = np.stack([np.eye(2), *linalg.PAULI]).reshape(4, 4)
+    form = np.real(paulis.conj() @ k @ paulis.T)
+    return float(form[0, 0]), form[1:, 1:]
 
 
 def _pinch(rho: np.ndarray, basis: MeasurementBasis, dim_b: int) -> np.ndarray:
@@ -313,20 +298,30 @@ def _grid_shape(budget: int | None) -> tuple[int, int, int]:
 def _maximize_grid(
     k: np.ndarray, budget: int | None, rel_tol: float
 ) -> tuple[float, np.ndarray, MeasurementBasis, int]:
+    """Bloch-angle lattice plus Nelder-Mead, both on the real form (c0 + n^T G n) / 2."""
     n_theta, n_phi, refine = _grid_shape(budget)
+    c0, g = _bloch_form(k)
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    vectors = _qubit_vectors(tt.ravel(), pp.ravel())
-    values = _overlap(k, vectors)
+    n = np.empty((n_theta, n_phi, 3))
+    n[..., 0] = np.outer(np.sin(thetas), np.cos(phis))
+    n[..., 1] = np.outer(np.sin(thetas), np.sin(phis))
+    n[..., 2] = np.cos(thetas)[:, None]
+    n = n.reshape(-1, 3)
+    values = (c0 + np.einsum("gi,gi->g", n @ g, n)) / 2.0
     best = int(np.argmax(values))
     best_val = float(values[best])
-    best_angles = np.array([tt.ravel()[best], pp.ravel()[best]])
-    evals = vectors.shape[0]
+    best_angles = np.array([thetas[best // n_phi], phis[best % n_phi]])
+    evals = n.shape[0]
+
+    def negative(angles):
+        st = np.sin(angles[0])
+        d = np.array([st * np.cos(angles[1]), st * np.sin(angles[1]), np.cos(angles[0])])
+        return -(c0 + d @ g @ d) / 2.0
 
     if refine > 0:
         res = sciopt.minimize(
-            lambda angles: -_overlap(k, _qubit_vectors(angles[0], angles[1])),
+            negative,
             best_angles,
             method="Nelder-Mead",
             options={

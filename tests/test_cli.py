@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,3 +196,15 @@ def test_verify_injected_tolerance_fails(capsys):
 def test_verify_unknown_check_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--checks", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("module", ["affinity_discord.cli", "affinity_discord"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", "--checks", "numerical_substrate", "--seed", "7"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip())["passed"] is True

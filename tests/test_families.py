@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from affinity_discord.correlation import closed_form_2xn
 from affinity_discord.errors import (
     InvalidBlochVectorError,
     OutOfRangeError,
@@ -57,6 +58,20 @@ def test_sqrt_data_reconstructs_square_root():
         root = data.reconstruct_sqrt()
         assert np.max(np.abs(root @ root - state.rho)) < 1e-10
         assert np.max(np.abs(root - state.sqrt())) < 1e-7
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("small", [2e-15, 5e-15])
+def test_sqrt_data_keeps_weights_the_matrix_sqrt_keeps(small, position):
+    # a weight above size * eps * max survives matrix_sqrt_psd, so the oracle
+    # keeps it too. Dyadic weights keep both routes at round-off; generic ones
+    # leave ~1e-10, the square root of the eigenvalue round-off both carry.
+    lams = np.insert([0.25, 0.25, 0.5 - small], position, small)
+    c1 = lams[0] + lams[1] - lams[2] - lams[3]
+    c2 = -lams[0] + lams[1] + lams[2] - lams[3]
+    c3 = lams[0] - lams[1] + lams[2] - lams[3]
+    closed = closed_form_2xn(bell_diagonal(c1, c2, c3)).value
+    assert abs(bell_diagonal_discord(c1, c2, c3) - closed) < 1e-12
 
 
 def test_sqrt_data_trace_is_h():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinity_discord import linalg
+from affinity_discord import linalg, measures
 from affinity_discord.correlation import closed_form_2xn
 from affinity_discord.errors import DimensionMismatchError, UnsupportedDimensionError
 from affinity_discord.families import bell_diagonal_discord
@@ -201,6 +201,47 @@ def test_functionals_equal_explicit_pinching_distances(dim_a, dim_b, data):
 
     assert abs(affinity_discord_at(state, basis) - pinching_distance(state.sqrt())) < 1e-12
     assert abs(hs_discord_at(state, basis) - pinching_distance(np.asarray(state.rho))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim_b=st.integers(1, 6), data=st.data())
+def test_qubit_overlap_is_the_bloch_form(dim_b, data):
+    # sum_+- vec(P_+-)^dagger K vec(P_+-) = (c0 + n^T G n) / 2 for P_+- = (1 +/- n.sigma) / 2
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rank = data.draw(st.integers(1, 2 * dim_b), label="rank")
+    state = random_state(2, dim_b, rank=rank, seed=seed)
+    basis = MeasurementBasis.from_unitary(linalg.haar_unitary(2, seed))
+    n = np.array([np.real(np.trace(basis.projectors[0] @ p)) for p in linalg.PAULI])
+    for s in (state.sqrt(), np.asarray(state.rho)):
+        k = measures._overlap_kernel(s, 2, dim_b)
+        c0, g = measures._bloch_form(k)
+        assert abs((c0 + n @ g @ n) / 2.0 - measures._overlap(k, basis.vectors)) < 1e-12
+
+
+def _hs_closed_2xn(state):
+    # Luo-Fu: with B_i = Tr_A[(sigma_i x 1) rho], D = (sum_i |B_i|^2 - lambda_max(M)) / 2,
+    # M_ij = Re Tr(B_i^dagger B_j)
+    blocks = np.asarray(state.rho).reshape(2, state.dim_b, 2, state.dim_b)
+    b = np.array([np.einsum("ba,aibj->ij", p, blocks) for p in linalg.PAULI]).reshape(3, -1)
+    gram = np.real(b.conj() @ b.T)
+    return (np.trace(gram) - np.linalg.eigvalsh(gram)[-1]) / 2.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim_b=st.integers(2, 6), data=st.data())
+def test_grid_optimum_matches_2xn_closed_forms(dim_b, data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rank = data.draw(st.integers(1, 2 * dim_b), label="rank")
+    state = random_state(2, dim_b, rank=rank, seed=seed)
+    closed = closed_form_2xn(state).value
+    pairs = [
+        (optimize_affinity_discord, closed),
+        (remedied_hs_discord, closed),
+        (optimize_hs_discord, _hs_closed_2xn(state)),
+    ]
+    for optimizer, exact in pairs:
+        value = optimizer(state, strategy="grid").value
+        assert exact - 1e-12 <= value <= exact + 1e-9, optimizer.__name__
 
 
 def test_literal_affinity_reading_differs_from_functional():

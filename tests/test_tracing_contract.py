@@ -7,19 +7,25 @@ tracer cannot rebind, breaks the benchmark's call-count check.
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 from affinity_discord import cli
 from affinity_discord.states import random_state, save_state
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracing")
 
 
 def test_traced_functions_resolve():
@@ -47,3 +53,22 @@ def test_compute_optimizers_are_traced(tmp_path):
     calls = tracer.per_item()[None]["calls"]
     for name in ("optimize_affinity_discord", "optimize_hs_discord", "remedied_hs_discord"):
         assert calls[f"measures.{name}"] == 1, name
+
+
+def test_sweep_items_match_expected_call_counts(tmp_path):
+    # one werner2 and one belldiag item of the sweep workload, counted as a
+    # --trace run counts them, against the workload's own table
+    tracing = _tracing_module()
+    workload = _load("workloads").SweepFig1(seed=1, workdir=str(tmp_path))
+    items = workload.build()
+    picked = [next(it for it in items if it.kind == kind) for kind in ("werner2", "belldiag")]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for index, item in enumerate(picked):
+            tracer.item = index
+            workload.call(item)
+    finally:
+        tracer.uninstall()
+    kinds = {index: item.kind for index, item in enumerate(picked)}
+    assert tracing.check_call_counts(tracer.per_item(), kinds, workload.expected_calls) == []
