@@ -225,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    common.add_argument("--budget", type=int, default=None, help="optimizer evaluation budget")
+    common.add_argument(
+        "--budget", type=int, default=None, help="grid evaluations, or 300 pair steps per start"
+    )
     common.add_argument(
         "--strategy",
         choices=["grid", "multistart-local", "hybrid"],

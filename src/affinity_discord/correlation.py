@@ -99,8 +99,9 @@ def correlation_matrix(
     tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> CorrelationMatrix:
     """Expansion coefficients of sqrt(rho) in the tensor operator basis."""
-    basis_a = basis_a or gell_mann_basis(state.dim_a)
-    basis_b = basis_b or gell_mann_basis(state.dim_b)
+    unit = OperatorBasis(1, np.ones((1, 1, 1)))  # a 1-dim party has no traceless part
+    basis_a = basis_a or (unit if state.dim_a == 1 else gell_mann_basis(state.dim_a))
+    basis_b = basis_b or (unit if state.dim_b == 1 else gell_mann_basis(state.dim_b))
     if basis_a.dim != state.dim_a or basis_b.dim != state.dim_b:
         raise DimensionMismatchError(
             f"basis dims ({basis_a.dim}, {basis_b.dim}) do not match state "

@@ -11,11 +11,12 @@ Hilbert-Schmidt measure takes S = rho and offset Tr(rho^2). K is
 dim_a^2 x dim_a^2 and is built once per state, so dim_b enters only there:
 every evaluation after it costs the same for any dim_b.
 
-For a two-level A the basis is P_+/- = (1 +/- n.sigma)/2 and the overlap is
-the real quadratic form (c0 + n^T G n)/2 in the unit Bloch vector n, with
-c0 = vec(1)^dagger K vec(1) and G_ij = Re vec(sigma_i)^dagger K vec(sigma_j).
-The grid strategy evaluates its Bloch-angle lattice and its refinement on
-this form.
+For orthonormal kets (v_0, v_1) on A and O_s = sum_pq (sigma_s)_pq |v_p><v_q|
+(sigma_0 = 1), the projectors (O_0 +/- n.O)/2 have the overlap (c0 + n^T G n)/2
+in the unit Bloch vector n, with c0 = vec(O_0)^dagger K vec(O_0) and
+G_ij = Re vec(O_i)^dagger K vec(O_j). The grid evaluates this form for a two-level
+A; the multistart runs Jacobi sweeps (Cardoso-Souloumiac, SIMAX 17(1), 1996) that
+rotate each pair of basis kets onto the top eigenvector of its G.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ GRID_THETA_DEFAULT = 181
 GRID_PHI_DEFAULT = 360
 GRID_REFINE_DEFAULT = 500
 MULTISTART_DEFAULT = 64
-NM_MAXFEV_PER_START = 300
+PAIR_STEPS_PER_START = 300
 
 STRATEGIES = ("grid", "multistart-local", "hybrid")
 
@@ -112,7 +113,7 @@ class DiscordResult:
     """Discord value with the method that produced it.
 
     ``method`` is one of closed-pure, closed-2xn, bound, optimized-grid,
-    optimized-local, family-analytic.
+    optimized-local, family-analytic; ``parameters`` is None for optimized-local.
     """
 
     value: float
@@ -146,14 +147,15 @@ def _overlap_kernel(s: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
 def _overlap(k: np.ndarray, vectors: np.ndarray) -> float:
     """sum_k vec(P_k)^dagger K vec(P_k) for the kets v_k in the rows of ``vectors``."""
     m = vectors.shape[-1]
-    q = (vectors[:, :, None] * vectors[:, None, :].conj()).reshape(m, m * m)
+    q = (vectors[:, :, None] * vectors[:, None, :].conj()).reshape(-1, m * m)
     return float(np.real(np.vdot(q, q @ k.T)))
 
 
-def _bloch_form(k: np.ndarray) -> tuple[float, np.ndarray]:
-    """(c0, G) of the qubit Bloch form, with the row-major vec that ``_overlap`` uses."""
-    paulis = np.stack([np.eye(2), *linalg.PAULI]).reshape(4, 4)
-    form = np.real(paulis.conj() @ k @ paulis.T)
+def _bloch_form(k: np.ndarray, kets: np.ndarray) -> tuple[float, np.ndarray]:
+    """(c0, G) for the pair of orthonormal rows ``kets``, in ``_overlap``'s row-major vec."""
+    paulis = np.stack([np.eye(2), *linalg.PAULI])
+    ops = np.einsum("spq,pa,qb->sab", paulis, kets, kets.conj()).reshape(4, -1)
+    form = np.real(ops.conj() @ k @ ops.T)
     return float(form[0, 0]), form[1:, 1:]
 
 
@@ -262,23 +264,6 @@ def pure_discord(psi: PureState) -> DiscordResult:
 # --- optimization over projective measurements --------------------------------
 
 
-def _hermitian_from_params(t: np.ndarray, m: int) -> np.ndarray:
-    h = np.zeros((m, m), dtype=np.complex128)
-    h[np.diag_indices(m)] = t[:m]
-    idx = m
-    for j in range(m):
-        for k in range(j + 1, m):
-            h[j, k] = t[idx] - 1j * t[idx + 1]
-            h[k, j] = t[idx] + 1j * t[idx + 1]
-            idx += 2
-    return h
-
-
-def _unitary_exp_i(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
-
-
 def _seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
@@ -300,7 +285,7 @@ def _maximize_grid(
 ) -> tuple[float, np.ndarray, MeasurementBasis, int]:
     """Bloch-angle lattice plus Nelder-Mead, both on the real form (c0 + n^T G n) / 2."""
     n_theta, n_phi, refine = _grid_shape(budget)
-    c0, g = _bloch_form(k)
+    c0, g = _bloch_form(k, np.eye(2))
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     n = np.empty((n_theta, n_phi, 3))
@@ -338,19 +323,33 @@ def _maximize_grid(
     return best_val, best_angles, basis, evals
 
 
-def _maximize_multistart(
-    k: np.ndarray, dim_a: int, budget: int | None, seed, marginal: np.ndarray | None
-) -> tuple[float, np.ndarray, MeasurementBasis, int]:
-    """Seeded Nelder-Mead restarts; ``marginal``, if given, seeds the first start."""
-    starts = MULTISTART_DEFAULT if budget is None else max(1, budget // NM_MAXFEV_PER_START)
-    n_params = dim_a * dim_a
-    seeds = _seed_sequence(seed).spawn(starts)
-    simplex = np.vstack([np.zeros(n_params), 0.4 * np.eye(n_params)])
+def _jacobi_sweeps(k: np.ndarray, vectors: np.ndarray, rel_tol: float) -> int:
+    """Rotate each pair of kets onto its Bloch-form optimum, in place; returns the steps."""
+    pairs = [[i, j] for i in range(len(vectors)) for j in range(i + 1, len(vectors))]
+    gain = 0.0
+    for step in range(PAIR_STEPS_PER_START):
+        pair = pairs[step % len(pairs)]
+        _, g = _bloch_form(k, vectors[pair])
+        w, n = np.linalg.eigh(g)
+        # the current pair is the Bloch vector (0, 0, 1)
+        gain += (w[-1] - g[2, 2]) / 2.0
+        vectors[pair] = MeasurementBasis.from_bloch_vector(n[:, -1]).vectors @ vectors[pair]
+        if (step + 1) % len(pairs) == 0:
+            if gain < rel_tol:
+                return step + 1
+            gain = 0.0
+    return PAIR_STEPS_PER_START
 
+
+def _maximize_multistart(
+    k: np.ndarray, dim_a: int, budget: int | None, seed, marginal: np.ndarray | None, rel_tol
+) -> tuple[float, MeasurementBasis, int]:
+    """Seeded Jacobi pair sweeps; ``marginal``, if given, seeds the first start."""
+    starts = MULTISTART_DEFAULT if budget is None else max(1, budget // PAIR_STEPS_PER_START)
+    seeds = _seed_sequence(seed).spawn(starts)
     best_val = -np.inf
     best_vectors = None
-    best_params = None
-    evals = 0
+    steps = 0
     for j in range(starts):
         rng = np.random.default_rng(seeds[j])
         if j == 0 and marginal is not None:
@@ -358,30 +357,12 @@ def _maximize_multistart(
         else:
             g = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a))
             _, u0 = np.linalg.eigh((g + g.conj().T) / 2.0)
-
-        def negative(t, u0=u0):
-            u = u0 @ _unitary_exp_i(_hermitian_from_params(t, dim_a))
-            return -_overlap(k, u.T)
-
-        res = sciopt.minimize(
-            negative,
-            np.zeros(n_params),
-            method="Nelder-Mead",
-            options={
-                "maxfev": NM_MAXFEV_PER_START,
-                "xatol": 1e-9,
-                "fatol": 1e-12,
-                "initial_simplex": simplex,
-            },
-        )
-        evals += res.nfev
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_params = np.asarray(res.x, dtype=np.float64)
-            u = u0 @ _unitary_exp_i(_hermitian_from_params(best_params, dim_a))
-            best_vectors = u.T.copy()
-    basis = MeasurementBasis(dim_a, best_vectors)
-    return best_val, best_params, basis, evals
+        vectors = u0.T.copy()
+        steps += _jacobi_sweeps(k, vectors, rel_tol)
+        value = _overlap(k, vectors)
+        if value > best_val:
+            best_val, best_vectors = value, vectors
+    return best_val, MeasurementBasis(dim_a, best_vectors), steps
 
 
 def _optimize(
@@ -402,18 +383,19 @@ def _optimize(
             f"optimization supports dim_a <= {MAX_OPT_DIM}, got {dim_a}"
         )
     k = _overlap_kernel(s, dim_a, state.dim_b)
+    rel_tol = tol.optimizer_rel_improvement
     if dim_a == 1:
         basis = MeasurementBasis.computational(1)
         best, params, evals, method = _overlap(k, basis.vectors), None, 1, "optimized-grid"
     elif strategy == "grid" or (strategy == "hybrid" and dim_a == 2):
         if dim_a != 2:
             raise UnsupportedDimensionError("grid strategy requires dim_a = 2")
-        best, params, basis, evals = _maximize_grid(k, budget, tol.optimizer_rel_improvement)
+        best, params, basis, evals = _maximize_grid(k, budget, rel_tol)
         method = "optimized-grid"
     else:
         marginal = state.marginal("a") if strategy == "hybrid" else None
-        best, params, basis, evals = _maximize_multistart(k, dim_a, budget, seed, marginal)
-        method = "optimized-local"
+        best, basis, evals = _maximize_multistart(k, dim_a, budget, seed, marginal, rel_tol)
+        params, method = None, "optimized-local"
     return DiscordResult(offset - best, method, basis, parameters=params, evaluations=evals)
 
 
@@ -426,11 +408,13 @@ def optimize_affinity_discord(
 ) -> DiscordResult:
     """Minimize the affinity discord functional over projective bases on A.
 
-    ``strategy`` is 'grid' (Bloch-angle lattice plus local refinement, two-level
-    A only), 'multistart-local' (seeded Nelder-Mead restarts over perturbed
-    random bases), or 'hybrid' (grid for two-level A, otherwise multistart with
-    the marginal eigenbasis as the first start). ``budget`` caps functional
-    evaluations; identical seeds give identical results.
+    ``strategy`` is 'grid' (Bloch-angle lattice plus Nelder-Mead refinement,
+    two-level A only), 'multistart-local' (Jacobi pair sweeps from seeded random
+    bases, each start ending when a sweep gains less than optimizer_rel_improvement
+    or after 300 pair steps), or 'hybrid' (grid for two-level A, otherwise
+    multistart with the marginal eigenbasis as the first start). ``budget`` caps
+    the grid's evaluations, or gives ``budget // 300`` starts (default 64) whose
+    pair steps are the evaluations; identical seeds give identical results.
     """
     return _optimize(state, state.sqrt(tol), 1.0, strategy, budget, seed, tol)
 

@@ -318,8 +318,9 @@ def state_to_json(state: BipartiteState) -> str:
 def state_from_json(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
     try:
         doc = json.loads(text)
-        dim_a = int(doc["dim_a"])
-        dim_b = int(doc["dim_b"])
+        dim_a, dim_b = doc["dim_a"], doc["dim_b"]
+        if type(dim_a) is not int or type(dim_b) is not int:  # 2.7 or true must not truncate
+            raise ValidationError(f"dimensions must be integers, got {dim_a!r} x {dim_b!r}")
         matrix = doc["matrix"]
         rho = np.array(
             [[complex(cell["re"], cell["im"]) for cell in row] for row in matrix],

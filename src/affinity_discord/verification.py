@@ -160,7 +160,7 @@ def check_closed_vs_optimizer(seed, tols) -> CheckResult:
     for i in range(50):
         state = random_state(2, 2, rank=(i % 4) + 1, seed=next(children))
         closed = closed_form_2xn(state).value
-        opt = optimize_affinity_discord(state, seed=next(children)).value
+        opt = optimize_affinity_discord(state, strategy="grid", seed=next(children)).value
         gap = max(gap, abs(closed - opt))
     return _result("closed_vs_optimizer", tols, {"closed_vs_optimizer": gap}, {"states": 50})
 

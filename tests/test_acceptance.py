@@ -62,7 +62,7 @@ def test_criterion_08_family_zeros_and_asymptotics():
 
 
 def test_criterion_09_three_level_families():
-    _run("m3_family_optimization", "criterion 9 (m=3 family optimization)", runtime_limit=300.0)
+    _run("m3_family_optimization", "criterion 9 (m=3 family optimization)", runtime_limit=10.0)
 
 
 def test_criterion_10_numerical_substrate():

@@ -15,6 +15,7 @@ from affinity_discord.states import (
     bell_state,
     product_state,
     random_density,
+    random_state,
     save_state,
     state_to_json,
     validate,
@@ -123,6 +124,21 @@ def test_compute_non_finite_state_exits_2(tmp_path, capsys, cell):
 def test_compute_missing_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, "compute", "--state", "/does/not/exist.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("method", ["auto", "optimize"])
+@pytest.mark.parametrize("dim_a", [2, 3])
+def test_compute_one_dimensional_b_is_zero(tmp_path, capsys, dim_a, method):
+    # with a one-dimensional B nothing is correlated: every measure is 0
+    path = tmp_path / "mx1.json"
+    save_state(random_state(dim_a, 1, seed=dim_a), path)
+    code, out, err = run_cli(
+        capsys, "compute", "--state", str(path), "--measure", "all", "--method", method
+    )
+    assert code == 0, err
+    for entry in json.loads(out)["measures"].values():
+        assert abs(entry["value"]) < 1e-12
+        assert abs(entry.get("bound", 0.0)) < 1e-12
 
 
 def test_compute_unsupported_dimension_exits_3(tmp_path, capsys):

@@ -36,6 +36,7 @@ from affinity_discord.states import (
     validate,
     werner_two_qubit,
 )
+from affinity_discord.verification import DEFAULT_CHECK_TOLERANCES
 
 
 # --- measurement bases ---------------------------------------------------------
@@ -206,16 +207,25 @@ def test_functionals_equal_explicit_pinching_distances(dim_a, dim_b, data):
 @settings(max_examples=60, deadline=None)
 @given(dim_b=st.integers(1, 6), data=st.data())
 def test_qubit_overlap_is_the_bloch_form(dim_b, data):
-    # sum_+- vec(P_+-)^dagger K vec(P_+-) = (c0 + n^T G n) / 2 for P_+- = (1 +/- n.sigma) / 2
+    # sum_+- vec(P_+-)^dagger K vec(P_+-) = (c0 + n^T G n) / 2 for P_+- = (1 +/- n.sigma) / 2,
+    # on a two-level A and on a random orthonormal pair inside a larger A
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rank = data.draw(st.integers(1, 2 * dim_b), label="rank")
+    dim_a = data.draw(st.integers(3, 5), label="dim_a")
     state = random_state(2, dim_b, rank=rank, seed=seed)
     basis = MeasurementBasis.from_unitary(linalg.haar_unitary(2, seed))
     n = np.array([np.real(np.trace(basis.projectors[0] @ p)) for p in linalg.PAULI])
-    for s in (state.sqrt(), np.asarray(state.rho)):
-        k = measures._overlap_kernel(s, 2, dim_b)
-        c0, g = measures._bloch_form(k)
-        assert abs((c0 + n @ g @ n) / 2.0 - measures._overlap(k, basis.vectors)) < 1e-12
+    cases = [
+        (measures._overlap_kernel(s, 2, dim_b), np.eye(2))
+        for s in (state.sqrt(), np.asarray(state.rho))
+    ]
+    large = random_state(dim_a, dim_b, rank=rank, seed=seed)
+    pair = linalg.haar_unitary(dim_a, seed)[:2]
+    cases.append((measures._overlap_kernel(large.sqrt(), dim_a, dim_b), pair))
+    for k, kets in cases:
+        c0, g = measures._bloch_form(k, kets)
+        got = measures._overlap(k, basis.vectors @ kets)
+        assert abs((c0 + n @ g @ n) / 2.0 - got) < 1e-12
 
 
 def _hs_closed_2xn(state):
@@ -339,6 +349,32 @@ def test_optimize_multistart_strategy_on_qubit():
     expected = closed_form_2xn(state).value
     res = optimize_affinity_discord(state, strategy="multistart-local", budget=3000, seed=8)
     assert res.value == pytest.approx(expected, abs=1e-5)
+
+
+def _rotated_uniform_cq(m, seed):
+    rng = np.random.default_rng(seed)
+    state = classical_quantum(np.full(m, 1.0 / m), [random_density(2, seed=rng) for _ in range(m)])
+    big = linalg.kron(linalg.haar_unitary(m, rng), linalg.haar_unitary(2, rng))
+    return validate(big @ state.rho @ big.conj().T, m, 2)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_local_route_finds_zero_on_rotated_uniform_cq(m):
+    # uniform weights make the marginal I/m, so its eigenbasis does not seed the optimum
+    state = _rotated_uniform_cq(m, seed=200 + m)
+    for optimizer in (optimize_affinity_discord, optimize_hs_discord):
+        res = optimizer(state, seed=m)
+        assert res.method == "optimized-local"
+        assert res.parameters is None
+        assert abs(res.value) < DEFAULT_CHECK_TOLERANCES["zero_discord"], optimizer.__name__
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_multistart_matches_pure_formula(m):
+    psi = random_pure_state(m, 2, seed=210 + m)
+    res = optimize_affinity_discord(psi.to_density(), strategy="multistart-local", seed=m)
+    expected = pure_discord(psi).value
+    assert abs(res.value - expected) < DEFAULT_CHECK_TOLERANCES["pure_optimized"]
 
 
 def test_optimize_rejects_large_dimension():

@@ -319,3 +319,12 @@ def test_json_reader_rejects_malformed():
         state_from_json("{not json")
     with pytest.raises(ValidationError):
         state_from_json('{"dim_a": 2}')
+
+
+@pytest.mark.parametrize("dim_a, value", [(2, "2.7"), (2, "2.0"), (2, '"2"'), (1, "true")])
+def test_json_reader_rejects_non_integer_dimensions(dim_a, value):
+    # each value, cast to int, would give dim_a and so fit the matrix
+    text = state_to_json(validate(np.eye(4) / 4.0, dim_a, 4 // dim_a))
+    text = text.replace(f'"dim_a": {dim_a}', f'"dim_a": {value}')
+    with pytest.raises(ValidationError):
+        state_from_json(text)
