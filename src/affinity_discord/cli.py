@@ -226,7 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
     common.add_argument(
-        "--budget", type=int, default=None, help="grid evaluations, or 300 pair steps per start"
+        "--budget",
+        type=int,
+        default=None,
+        help="grid evaluations, or 300 pair steps per start for dim_a >= 3 "
+        "(a two-level A takes one exact pair step under hybrid and multistart-local)",
     )
     common.add_argument(
         "--strategy",

@@ -14,9 +14,12 @@ every evaluation after it costs the same for any dim_b.
 For orthonormal kets (v_0, v_1) on A and O_s = sum_pq (sigma_s)_pq |v_p><v_q|
 (sigma_0 = 1), the projectors (O_0 +/- n.O)/2 have the overlap (c0 + n^T G n)/2
 in the unit Bloch vector n, with c0 = vec(O_0)^dagger K vec(O_0) and
-G_ij = Re vec(O_i)^dagger K vec(O_j). The grid evaluates this form for a two-level
-A; the multistart runs Jacobi sweeps (Cardoso-Souloumiac, SIMAX 17(1), 1996) that
-rotate each pair of basis kets onto the top eigenvector of its G.
+G_ij = Re vec(O_i)^dagger K vec(O_j). The default route runs Jacobi sweeps
+(Cardoso-Souloumiac, SIMAX 17(1), 1996) that rotate each pair of basis kets onto
+the top eigenvector of its G. A two-level A has one pair, so one step is the
+global optimum there and one start suffices. The 'grid' strategy evaluates the
+form on a Bloch-angle lattice for a two-level A and refines it with Nelder-Mead;
+it is kept as an independent oracle and is the only user of scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from . import linalg
 from .errors import (
@@ -113,7 +115,10 @@ class DiscordResult:
     """Discord value with the method that produced it.
 
     ``method`` is one of closed-pure, closed-2xn, bound, optimized-grid,
-    optimized-local, family-analytic; ``parameters`` is None for optimized-local.
+    optimized-local, family-analytic. optimized-grid comes only from the 'grid'
+    strategy (and a one-level A) and carries the Bloch angles in ``parameters``;
+    optimized-local comes from the Jacobi sweeps, for a two-level A too, with
+    ``parameters`` None and ``evaluations`` counting pair steps.
     """
 
     value: float
@@ -284,6 +289,8 @@ def _maximize_grid(
     k: np.ndarray, budget: int | None, rel_tol: float
 ) -> tuple[float, np.ndarray, MeasurementBasis, int]:
     """Bloch-angle lattice plus Nelder-Mead, both on the real form (c0 + n^T G n) / 2."""
+    from scipy import optimize as sciopt
+
     n_theta, n_phi, refine = _grid_shape(budget)
     c0, g = _bloch_form(k, np.eye(2))
     thetas = np.linspace(0.0, np.pi, n_theta)
@@ -344,8 +351,16 @@ def _jacobi_sweeps(k: np.ndarray, vectors: np.ndarray, rel_tol: float) -> int:
 def _maximize_multistart(
     k: np.ndarray, dim_a: int, budget: int | None, seed, marginal: np.ndarray | None, rel_tol
 ) -> tuple[float, MeasurementBasis, int]:
-    """Seeded Jacobi pair sweeps; ``marginal``, if given, seeds the first start."""
-    starts = MULTISTART_DEFAULT if budget is None else max(1, budget // PAIR_STEPS_PER_START)
+    """Seeded Jacobi pair sweeps; ``marginal``, if given, seeds the first start.
+
+    A two-level A has a single pair, whose step is the global optimum: one start.
+    """
+    if dim_a == 2:
+        starts = 1
+    elif budget is None:
+        starts = MULTISTART_DEFAULT
+    else:
+        starts = max(1, budget // PAIR_STEPS_PER_START)
     seeds = _seed_sequence(seed).spawn(starts)
     best_val = -np.inf
     best_vectors = None
@@ -387,7 +402,7 @@ def _optimize(
     if dim_a == 1:
         basis = MeasurementBasis.computational(1)
         best, params, evals, method = _overlap(k, basis.vectors), None, 1, "optimized-grid"
-    elif strategy == "grid" or (strategy == "hybrid" and dim_a == 2):
+    elif strategy == "grid":
         if dim_a != 2:
             raise UnsupportedDimensionError("grid strategy requires dim_a = 2")
         best, params, basis, evals = _maximize_grid(k, budget, rel_tol)
@@ -408,13 +423,14 @@ def optimize_affinity_discord(
 ) -> DiscordResult:
     """Minimize the affinity discord functional over projective bases on A.
 
-    ``strategy`` is 'grid' (Bloch-angle lattice plus Nelder-Mead refinement,
-    two-level A only), 'multistart-local' (Jacobi pair sweeps from seeded random
+    ``strategy`` is 'multistart-local' (Jacobi pair sweeps from seeded random
     bases, each start ending when a sweep gains less than optimizer_rel_improvement
-    or after 300 pair steps), or 'hybrid' (grid for two-level A, otherwise
-    multistart with the marginal eigenbasis as the first start). ``budget`` caps
-    the grid's evaluations, or gives ``budget // 300`` starts (default 64) whose
-    pair steps are the evaluations; identical seeds give identical results.
+    or after 300 pair steps), 'hybrid' (the same, with the marginal eigenbasis as
+    the first start), or 'grid' (the lattice oracle: Bloch-angle lattice plus scipy
+    Nelder-Mead refinement, two-level A only). For a two-level A the first two
+    take one start, whose single pair step is the exact optimum (evaluations <= 2).
+    ``budget`` caps the grid's evaluations, or gives ``budget // 300`` starts
+    (default 64) for dim_a >= 3; identical seeds give identical results.
     """
     return _optimize(state, state.sqrt(tol), 1.0, strategy, budget, seed, tol)
 

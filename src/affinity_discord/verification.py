@@ -133,16 +133,14 @@ def check_pure_state_formula(seed, tols) -> CheckResult:
         psi = random_pure_state(dim_a, dim_b, next(children))
         expected = 1.0 - float(np.sum(schmidt_spectrum(psi) ** 2))
         state = psi.to_density()
-        budget = None if dim_a == 2 else 4800
-        opt = optimize_affinity_discord(state, budget=budget, seed=next(children))
+        opt = optimize_affinity_discord(state, budget=4800, seed=next(children))
         gap_opt = max(gap_opt, abs(opt.value - expected))
         if dim_a == 2:
             gap_closed = max(gap_closed, abs(closed_form_2xn(state).value - expected))
     gap_maxent = 0.0
     for m in (2, 3):
         state = maximally_entangled(m).to_density()
-        budget = None if m == 2 else 4800
-        opt = optimize_affinity_discord(state, budget=budget, seed=next(children))
+        opt = optimize_affinity_discord(state, budget=4800, seed=next(children))
         gap_maxent = max(gap_maxent, abs(opt.value - (m - 1.0) / m))
     gaps = {
         "pure_optimized": gap_opt,

@@ -63,8 +63,8 @@ def test_compute_mixed_state_uses_closed_2xn(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["measures"]["affinity"]["method"] == "closed-2xn"
-    assert report["measures"]["hs"]["method"] == "optimized-grid"
-    assert report["measures"]["hs"]["value"] == pytest.approx(0.18, abs=1e-5)
+    assert report["measures"]["hs"]["method"] == "optimized-local"
+    assert report["measures"]["hs"]["value"] == pytest.approx(0.18, abs=1e-12)
     # remedied optimum coincides with the affinity optimum
     assert report["measures"]["remedied"]["value"] == pytest.approx(
         report["measures"]["affinity"]["value"], abs=1e-5
@@ -224,3 +224,36 @@ def test_python_dash_m_runs_the_cli(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip())["passed"] is True
+
+
+_SCIPY_PROBE = """
+import json, sys
+import affinity_discord.cli
+from affinity_discord import closed_form_2xn, optimize_affinity_discord, sweep, werner_two_qubit
+rows = sweep("werner2", [0.5])
+loaded = "scipy.optimize" in sys.modules
+state = werner_two_qubit(0.5)
+res = optimize_affinity_discord(state, strategy="grid")
+print(json.dumps({
+    "loaded_after_sweep": loaded,
+    "sweep_gap": max(row.gap for row in rows),
+    "grid_method": res.method,
+    "grid_gap": abs(res.value - closed_form_2xn(state).value),
+    "loaded_after_grid": "scipy.optimize" in sys.modules,
+}))
+"""
+
+
+def test_scipy_optimize_loads_only_for_the_grid():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["loaded_after_sweep"] is False
+    assert report["sweep_gap"] < 1e-12
+    assert report["grid_method"] == "optimized-grid"
+    assert report["grid_gap"] < 1e-9
+    assert report["loaded_after_grid"] is True
