@@ -1,22 +1,13 @@
 """Affinity-based geometric quantum discord for bipartite states.
 
 Closed forms for pure states and for a two-level measured party, a spectral
-lower bound from the square-root correlation matrix, brute-force
-optimization over projective measurements, and analytic formulas for the
-Bell-diagonal, Werner, and isotropic families.
+lower bound from the square-root correlation matrix (the m-level form of the
+two-level closed form), brute-force optimization over projective
+measurements, and analytic formulas for the Bell-diagonal, Werner, and
+isotropic families.
 """
 
-from .correlation import (
-    CorrelationMatrix,
-    GammaPartition,
-    OperatorBasis,
-    closed_form_2xn,
-    correlation_matrix,
-    gamma_partition,
-    gell_mann_basis,
-    lower_bound,
-    lower_bound_clamped,
-)
+from .correlation import closed_form_2xn, correlation_matrix, gell_mann_basis, lower_bound
 from .errors import (
     DimensionMismatchError,
     InvalidBlochVectorError,

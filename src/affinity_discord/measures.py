@@ -24,6 +24,7 @@ it is kept as an independent oracle and is the only user of scipy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +105,18 @@ class MeasurementBasis:
         norm = float(np.linalg.norm(vec))
         if norm < 1e-12:
             raise OutOfRangeError("Bloch vector must be nonzero")
-        vec = vec / norm
-        theta = float(np.arccos(np.clip(vec[2], -1.0, 1.0)))
-        phi = float(np.arctan2(vec[1], vec[0]))
-        return cls.from_angles(theta, phi)
+        x, y, z = (vec / norm).tolist()
+        z = min(1.0, max(-1.0, z))
+        c, s = math.sqrt((1.0 + z) / 2.0), math.sqrt((1.0 - z) / 2.0)  # cos, sin of theta/2
+        # e = exp(i phi) for phi = arctan2(y, x): scaled first, so that subnormal x, y
+        # keep their ratio, and +-1 at a pole by the sign of x's zero, as arctan2 reads it
+        big = max(abs(x), abs(y))
+        if big > 0.0:
+            x, y = x / big, y / big
+            e = complex(x, y) / math.hypot(x, y)
+        else:
+            e = math.copysign(1.0, x)
+        return cls(2, np.array([[c, s * e], [s, -c * e]]))
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,8 @@ class DiscordResult:
 
     ``method`` is one of closed-pure, closed-2xn, bound, optimized-grid,
     optimized-local, family-analytic. optimized-grid comes only from the 'grid'
-    strategy (and a one-level A) and carries the Bloch angles in ``parameters``;
-    optimized-local comes from the Jacobi sweeps, for a two-level A too, with
+    strategy and carries the Bloch angles in ``parameters``; optimized-local
+    comes from the Jacobi sweeps, for one- and two-level A too, with
     ``parameters`` None and ``evaluations`` counting pair steps.
     """
 
@@ -333,6 +342,8 @@ def _maximize_grid(
 def _jacobi_sweeps(k: np.ndarray, vectors: np.ndarray, rel_tol: float) -> int:
     """Rotate each pair of kets onto its Bloch-form optimum, in place; returns the steps."""
     pairs = [[i, j] for i in range(len(vectors)) for j in range(i + 1, len(vectors))]
+    if not pairs:
+        return 0
     gain = 0.0
     for step in range(PAIR_STEPS_PER_START):
         pair = pairs[step % len(pairs)]
@@ -353,9 +364,10 @@ def _maximize_multistart(
 ) -> tuple[float, MeasurementBasis, int]:
     """Seeded Jacobi pair sweeps; ``marginal``, if given, seeds the first start.
 
-    A two-level A has a single pair, whose step is the global optimum: one start.
+    A two-level A has a single pair, whose step is the global optimum, and a
+    one-level A has none: one start.
     """
-    if dim_a == 2:
+    if dim_a <= 2:
         starts = 1
     elif budget is None:
         starts = MULTISTART_DEFAULT
@@ -399,10 +411,7 @@ def _optimize(
         )
     k = _overlap_kernel(s, dim_a, state.dim_b)
     rel_tol = tol.optimizer_rel_improvement
-    if dim_a == 1:
-        basis = MeasurementBasis.computational(1)
-        best, params, evals, method = _overlap(k, basis.vectors), None, 1, "optimized-grid"
-    elif strategy == "grid":
+    if strategy == "grid":
         if dim_a != 2:
             raise UnsupportedDimensionError("grid strategy requires dim_a = 2")
         best, params, basis, evals = _maximize_grid(k, budget, rel_tol)

@@ -164,7 +164,12 @@ def check_closed_vs_optimizer(seed, tols) -> CheckResult:
 
 
 def check_bound_dominance(seed, tols) -> CheckResult:
-    """Spectral lower bound never exceeds the optimized (or exact) discord."""
+    """Spectral lower bound never exceeds the optimized (or exact) discord.
+
+    For a two-level A the bound is the closed form itself, so ``bound_vs_closed``
+    reads 0 and ``bound_slack`` reads how far the optimizer lands below the exact
+    value, which is round-off.
+    """
     ss = _seed_sequence(seed)
     children = iter(ss.spawn(150))
     over_opt = -np.inf
@@ -316,7 +321,7 @@ def check_numerical_substrate(seed, tols) -> CheckResult:
             s = state.sqrt()
             residual = float(np.max(np.abs(s @ s - state.rho)))
             gap_sqrt = max(gap_sqrt, residual / max(1e-300, float(np.max(np.abs(state.rho)))))
-            gamma = correlation_matrix(state).gamma
+            gamma = correlation_matrix(state)
             gap_parseval = max(gap_parseval, abs(float(np.sum(gamma**2)) - 1.0))
     gap_sym = 0.0
     for _ in range(5):

@@ -2,22 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinity_discord import linalg
 from affinity_discord.correlation import (
     closed_form_2xn,
     correlation_matrix,
-    gamma_partition,
     gell_mann_basis,
     lower_bound,
-    lower_bound_clamped,
 )
-from affinity_discord.errors import (
-    DimensionMismatchError,
-    OutOfRangeError,
-    WrongDimensionError,
-)
+from affinity_discord.errors import OutOfRangeError, WrongDimensionError
 from affinity_discord.families import bell_diagonal_discord, werner_two_qubit_discords
+from affinity_discord.measures import MeasurementBasis, affinity_discord_at
 from affinity_discord.states import (
     bell_state,
     classical_quantum,
@@ -35,21 +32,22 @@ from affinity_discord.states import (
 def test_gell_mann_d2_is_scaled_pauli_set():
     basis = gell_mann_basis(2)
     expected = [np.eye(2), linalg.SIGMA_X, linalg.SIGMA_Y, linalg.SIGMA_Z]
-    for op, ref in zip(basis.operators, expected):
+    for op, ref in zip(basis, expected):
         assert np.max(np.abs(op - ref / np.sqrt(2.0))) < 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_gell_mann_orthonormal(d):
     basis = gell_mann_basis(d)
-    assert basis.operators.shape == (d * d, d, d)
-    assert np.max(np.abs(basis.gram() - np.eye(d * d))) < 1e-12
+    assert basis.shape == (d * d, d, d)
+    flat = basis.reshape(d * d, -1)
+    assert np.max(np.abs(flat.conj() @ flat.T - np.eye(d * d))) < 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gell_mann_traceless_and_hermitian(d):
     basis = gell_mann_basis(d)
-    for k, op in enumerate(basis.operators):
+    for k, op in enumerate(basis):
         assert np.max(np.abs(op - op.conj().T)) < 1e-15
         if k > 0:
             assert abs(np.trace(op)) < 1e-14
@@ -66,42 +64,41 @@ def test_gell_mann_rejects_dim_one():
 def test_gamma_matches_direct_traces():
     state = random_state(2, 3, rank=4, seed=50)
     ba, bb = gell_mann_basis(2), gell_mann_basis(3)
-    corr = correlation_matrix(state, ba, bb)
+    gamma = correlation_matrix(state)
+    assert gamma.shape == (4, 9) and gamma.dtype == np.float64
     s = state.sqrt()
     for i in range(4):
         for j in range(9):
-            direct = np.trace(s @ linalg.kron(ba.operators[i], bb.operators[j]))
+            direct = np.trace(s @ linalg.kron(ba[i], bb[j]))
             assert abs(direct.imag) < 1e-10
-            assert abs(corr.gamma[i, j] - direct.real) < 1e-12
+            assert abs(gamma[i, j] - direct.real) < 1e-12
 
 
 def test_gamma_reconstructs_sqrt():
     state = random_state(2, 2, rank=3, seed=51)
-    ba = bb = gell_mann_basis(2)
-    corr = correlation_matrix(state, ba, bb)
-    rebuilt = np.einsum("ij,iab,jcd->acbd", corr.gamma, ba.operators, bb.operators)
+    basis = gell_mann_basis(2)
+    rebuilt = np.einsum("ij,iab,jcd->acbd", correlation_matrix(state), basis, basis)
     rebuilt = rebuilt.reshape(4, 4)
     assert np.max(np.abs(rebuilt - state.sqrt())) < 1e-9
 
 
 def test_gamma_bell_state():
-    corr = correlation_matrix(bell_state(0, 0).to_density())
+    gamma = correlation_matrix(bell_state(0, 0).to_density())
     expected = np.diag([0.5, 0.5, -0.5, 0.5])
-    assert np.max(np.abs(corr.gamma - expected)) < 1e-12
+    assert np.max(np.abs(gamma - expected)) < 1e-12
 
 
 def test_gamma_maximally_mixed():
-    corr = correlation_matrix(validate(np.eye(4) / 4.0, 2, 2))
+    gamma = correlation_matrix(validate(np.eye(4) / 4.0, 2, 2))
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
-    assert np.max(np.abs(corr.gamma - expected)) < 1e-12
+    assert np.max(np.abs(gamma - expected)) < 1e-12
 
 
 def test_gamma_product_pure_state_is_rank_one():
     a = random_density(2, rank=1, seed=52)
     b = random_density(3, rank=1, seed=53)
-    corr = correlation_matrix(product_state(a, b))
-    sv = np.linalg.svd(corr.gamma, compute_uv=False)
+    sv = np.linalg.svd(correlation_matrix(product_state(a, b)), compute_uv=False)
     assert sv[0] == pytest.approx(1.0, abs=1e-10)
     assert np.max(sv[1:]) < 1e-10
 
@@ -109,22 +106,7 @@ def test_gamma_product_pure_state_is_rank_one():
 @pytest.mark.parametrize("dims,rank", [((2, 2), 2), ((2, 3), 6), ((3, 3), 5)])
 def test_gamma_parseval(dims, rank):
     state = random_state(*dims, rank=rank, seed=54)
-    corr = correlation_matrix(state)
-    assert abs(np.sum(corr.gamma**2) - 1.0) < 1e-10
-
-
-def test_gamma_partition_stacks_back():
-    state = random_state(2, 3, seed=55)
-    corr = correlation_matrix(state)
-    v, z = gamma_partition(corr)
-    assert np.array_equal(np.vstack([v, z]), corr.gamma)
-    assert v.shape == (9,) and z.shape == (3, 9)
-
-
-def test_gamma_dimension_mismatch():
-    state = random_state(2, 2, seed=56)
-    with pytest.raises(DimensionMismatchError):
-        correlation_matrix(state, gell_mann_basis(3), gell_mann_basis(2))
+    assert abs(np.sum(correlation_matrix(state) ** 2) - 1.0) < 1e-10
 
 
 # --- lower bound -----------------------------------------------------------------
@@ -145,15 +127,31 @@ def test_lower_bound_maximally_mixed_is_zero():
     assert abs(lower_bound(validate(np.eye(4) / 4.0, 2, 2))) < 1e-12
 
 
-def test_lower_bound_clamped():
-    state = random_state(2, 2, rank=4, seed=59)
-    assert lower_bound_clamped(state) >= 0.0
-
-
 def test_lower_bound_never_exceeds_closed_form():
     for i in range(10):
         state = random_state(2, 3, rank=(i % 6) + 1, seed=600 + i)
         assert closed_form_2xn(state).value >= lower_bound(state) - 1e-9
+
+
+def _paper_bound(state):
+    # the paper's bound, without the Gell-Mann basis: Gamma Gamma^t is the Gram
+    # matrix of the realigned sqrt(rho), R[(a, b), (i, j)] = S[(a, i), (b, j)]
+    m, n = state.dim_a, state.dim_b
+    r = state.sqrt().reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    return 1.0 - float(np.sum(np.linalg.eigvalsh(r @ r.conj().T)[-m:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim_a=st.integers(2, 5), dim_b=st.integers(1, 3), data=st.data())
+def test_lower_bound_between_paper_bound_and_functional(dim_a, dim_b, data):
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rank = data.draw(st.integers(1, dim_a * dim_b), label="rank")
+    state = random_state(dim_a, dim_b, rank=rank, seed=seed)
+    bound = lower_bound(state)
+    basis = MeasurementBasis.from_unitary(linalg.haar_unitary(dim_a, seed))
+    assert _paper_bound(state) - 1e-12 <= bound <= affinity_discord_at(state, basis) + 1e-12
+    if dim_a == 2:
+        assert bound == closed_form_2xn(state).value
 
 
 # --- closed form -------------------------------------------------------------------
@@ -209,9 +207,9 @@ def test_closed_form_local_unitary_invariant():
         rotated = validate(big @ state.rho @ big.conj().T, 2, 3)
         # spectra of Z Z^t and |v| are invariant, hence the closed form is too
         assert abs(closed_form_2xn(state).value - closed_form_2xn(rotated).value) < 1e-9
-        va, za = gamma_partition(correlation_matrix(state))
-        vb, zb = gamma_partition(correlation_matrix(rotated))
-        assert abs(np.linalg.norm(va) - np.linalg.norm(vb)) < 1e-9
-        ea = np.linalg.eigvalsh(za @ za.T)
-        eb = np.linalg.eigvalsh(zb @ zb.T)
+        gamma_a = correlation_matrix(state)
+        gamma_b = correlation_matrix(rotated)
+        assert abs(np.linalg.norm(gamma_a[0]) - np.linalg.norm(gamma_b[0])) < 1e-9
+        ea = np.linalg.eigvalsh(gamma_a[1:] @ gamma_a[1:].T)
+        eb = np.linalg.eigvalsh(gamma_b[1:] @ gamma_b[1:].T)
         assert np.max(np.abs(ea - eb)) < 1e-9

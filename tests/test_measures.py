@@ -63,6 +63,29 @@ def test_basis_from_bloch_vector_direction():
     assert np.max(np.abs(basis.projectors[1] - (np.eye(2) - n_dot_sigma) / 2.0)) < 1e-12
 
 
+def _angle_route_kets(n):
+    u = np.asarray(n, dtype=float) / np.linalg.norm(n)
+    return MeasurementBasis.from_angles(np.arccos(u[2]), np.arctan2(u[1], u[0])).vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).filter(
+    lambda n: np.linalg.norm(n) > 1e-6))
+def test_bloch_vector_kets_match_angle_route(n):
+    got = MeasurementBasis.from_bloch_vector(n).vectors
+    assert np.max(np.abs(got - _angle_route_kets(n))) < 1e-15
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_bloch_vector_kets_match_angle_route_on_axes(sign, axis, zero):
+    n = np.full(3, zero)
+    n[axis] = sign
+    got = MeasurementBasis.from_bloch_vector(n).vectors
+    assert np.max(np.abs(got - _angle_route_kets(n))) < 1e-15
+
+
 # --- affinity -------------------------------------------------------------------
 
 
@@ -387,6 +410,19 @@ def test_optimize_rejects_large_dimension():
     state = validate(np.eye(9) / 9.0, 9, 1)
     with pytest.raises(UnsupportedDimensionError):
         optimize_affinity_discord(state, seed=0)
+
+
+def test_one_level_a_takes_the_local_route():
+    # a one-level A has no pair to rotate: the single basis {1}, reached in 0 steps
+    state = random_state(1, 3, seed=96)
+    for optimizer in (optimize_affinity_discord, optimize_hs_discord, remedied_hs_discord):
+        for strategy in ("hybrid", "multistart-local"):
+            res = optimizer(state, strategy=strategy, seed=0)
+            assert res.method == "optimized-local", (optimizer.__name__, strategy)
+            assert res.evaluations == 0
+            assert abs(res.value) < 1e-12
+        with pytest.raises(UnsupportedDimensionError):
+            optimizer(state, strategy="grid")
 
 
 def test_optimize_hs_werner_values():

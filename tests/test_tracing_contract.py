@@ -72,3 +72,22 @@ def test_sweep_items_match_expected_call_counts(tmp_path):
         tracer.uninstall()
     kinds = {index: item.kind for index, item in enumerate(picked)}
     assert tracing.check_call_counts(tracer.per_item(), kinds, workload.expected_calls) == []
+
+
+def test_compute_items_match_expected_call_counts(tmp_path):
+    # one pure and one mixed item of the compute workload: the closed-pure and
+    # closed-2xn routes, with the bound, call what the workload's table says
+    tracing = _tracing_module()
+    workload = _load("workloads").ComputeQubit(seed=1, workdir=str(tmp_path))
+    items = workload.build()
+    picked = [next(it for it in items if it.kind == kind) for kind in ("pure", "mixed")]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for index, item in enumerate(picked):
+            tracer.item = index
+            assert workload.call(item) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    kinds = {index: item.kind for index, item in enumerate(picked)}
+    assert tracing.check_call_counts(tracer.per_item(), kinds, workload.expected_calls) == []
