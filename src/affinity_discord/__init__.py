@@ -35,7 +35,6 @@ from .families import (
     werner_two_qubit_discords,
 )
 from .linalg import (
-    EigenDecomposition,
     frobenius_norm_sq,
     haar_unitary,
     hermitian_eig,
@@ -50,7 +49,6 @@ from .measures import (
     affinity,
     affinity_discord_at,
     affinity_metric,
-    affinity_to_measured,
     ancilla_behavior_report,
     hs_discord_at,
     optimize_affinity_discord,
@@ -82,7 +80,6 @@ from .states import (
     werner_general,
     werner_two_qubit,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import CHECK_NAMES, CheckResult, run_checks
 
 __version__ = "0.1.0"

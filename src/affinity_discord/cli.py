@@ -23,7 +23,6 @@ from .measures import (
     remedied_hs_discord,
 )
 from .states import BipartiteState, PureState, load_state, schmidt_spectrum
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 from .verification import CHECK_NAMES, run_checks
 
 _PURITY_PURE_CUTOFF = 1e-8
@@ -46,14 +45,6 @@ def _parse_overrides(pairs: list[str] | None) -> dict[str, float]:
         except ValueError as exc:
             raise ValidationError(f"tolerance override {pair!r}: {exc}") from exc
     return overrides
-
-
-def _tolerances_from(pairs: list[str] | None) -> Tolerances:
-    overrides = _parse_overrides(pairs)
-    try:
-        return DEFAULT_TOLERANCES.replace(**overrides)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from exc
 
 
 def _complex_cells(matrix: np.ndarray) -> list:
@@ -79,7 +70,7 @@ def _as_pure(state: BipartiteState) -> PureState | None:
     return PureState(state.dim_a, state.dim_b, amps / np.linalg.norm(amps))
 
 
-def _measure_entry(state, psi, measure, method, strategy, budget, seed, tol) -> dict:
+def _measure_entry(state, psi, measure, method, strategy, budget, seed) -> dict:
     """Run one measure by one method; ``psi`` is the state as a pure state, or None.
 
     ``auto`` takes the closed forms (pure, then two-level A) for the affinity
@@ -101,14 +92,14 @@ def _measure_entry(state, psi, measure, method, strategy, budget, seed, tol) -> 
             "hs": optimize_hs_discord,
             "remedied": remedied_hs_discord,
         }[measure]
-        result = optimizer(state, strategy=strategy, budget=budget, seed=seed, tol=tol)
+        result = optimizer(state, strategy=strategy, budget=budget, seed=seed)
     elif method == "bound":
-        raw_bound = lower_bound(state, tol)
+        raw_bound = lower_bound(state)
         result = DiscordResult(max(raw_bound, 0.0), "bound")
     elif psi is not None:
         result = pure_discord(psi)
     elif state.dim_a == 2:
-        result = closed_form_2xn(state, tol)
+        result = closed_form_2xn(state)
     else:
         raise UnsupportedDimensionError("closed form requires dim_a = 2")
 
@@ -120,19 +111,18 @@ def _measure_entry(state, psi, measure, method, strategy, budget, seed, tol) -> 
     }
     if measure != "hs" and state.dim <= _BOUND_MAX_DIM:
         if raw_bound is None:
-            raw_bound = lower_bound(state, tol)
+            raw_bound = lower_bound(state)
         entry["bound"] = float(raw_bound)
         entry["bound_clamped"] = max(0.0, float(raw_bound))
     return entry
 
 
 def cmd_compute(args) -> int:
-    tol = _tolerances_from(args.tol_key)
-    state = load_state(args.state, tol)
+    state = load_state(args.state)
     psi = _as_pure(state)
     measures = ["affinity", "hs", "remedied"] if args.measure == "all" else [args.measure]
     entries = {
-        m: _measure_entry(state, psi, m, args.method, args.strategy, args.budget, args.seed, tol)
+        m: _measure_entry(state, psi, m, args.method, args.strategy, args.budget, args.seed)
         for m in measures
     }
     diagnostics = {
@@ -173,7 +163,6 @@ def cmd_sweep(args) -> int:
         strategy=args.strategy,
         budget=args.budget,
         seed=args.seed,
-        tol=_tolerances_from(args.tol_key),
     )
     if args.format == "json":
         payload = [
@@ -239,12 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="measurement-optimization strategy",
     )
     common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument(
-        "--tol-key",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a named tolerance (repeatable)",
-    )
 
     p_compute = sub.add_parser("compute", parents=[common], help="compute measures for a state file")
     p_compute.add_argument("--state", required=True, help="path to a JSON state file")
@@ -272,6 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         default=None,
         help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}",
+    )
+    p_verify.add_argument(
+        "--tol-key",
+        action="append",
+        metavar="NAME=VALUE",
+        help="override a check tolerance (repeatable)",
     )
     p_verify.set_defaults(fn=cmd_verify)
     return parser

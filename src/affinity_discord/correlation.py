@@ -22,7 +22,7 @@ import numpy as np
 from .errors import OutOfRangeError, ValidationError, WrongDimensionError
 from .measures import DiscordResult, MeasurementBasis
 from .states import BipartiteState
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import GAMMA_IMAG
 
 
 def gell_mann_basis(d: int) -> np.ndarray:
@@ -58,46 +58,44 @@ def _operator_basis(d: int) -> np.ndarray:
     return np.ones((1, 1, 1)) if d == 1 else gell_mann_basis(d)
 
 
-def correlation_matrix(
-    state: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES
-) -> np.ndarray:
+def correlation_matrix(state: BipartiteState) -> np.ndarray:
     """Real coefficients gamma_ij = Tr(sqrt(rho) X_i x Y_j), shape (dim_a^2, dim_b^2).
 
     X and Y are the Gell-Mann bases of A and B, with X_0 and Y_0 the scaled identity.
     """
     ops_a = _operator_basis(state.dim_a)
     ops_b = _operator_basis(state.dim_b)
-    s = state.sqrt(tol)
+    s = state.sqrt()
     s4 = s.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)
     # gamma_ij = sum_{a b c d} S[(a,b),(c,d)] X_i[c,a] Y_j[d,b]
     raw = np.einsum("abcd,ica,jdb->ij", s4, ops_a, ops_b, optimize=True)
     residue = float(np.max(np.abs(raw.imag)))
-    if residue > tol.gamma_imag:
+    if residue > GAMMA_IMAG:
         raise ValidationError(
             f"correlation coefficients have imaginary residue {residue:.3e}"
         )
     return raw.real
 
 
-def _traceless_spectrum(state: BipartiteState, tol: Tolerances) -> tuple[float, np.ndarray]:
+def _traceless_spectrum(state: BipartiteState) -> tuple[float, np.ndarray]:
     """1 - ||v||^2 - (top dim_a - 1 eigenvalues of Z Z^t), and the eigenvectors of Z Z^t."""
-    gamma = correlation_matrix(state, tol)
+    gamma = correlation_matrix(state)
     v, z = gamma[0], gamma[1:]
     w, vecs = np.linalg.eigh(z @ z.T)
     top = w[w.size - (state.dim_a - 1) :]
     return 1.0 - float(v @ v) - float(np.sum(top)), vecs
 
 
-def lower_bound(state: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def lower_bound(state: BipartiteState) -> float:
     """Spectral lower bound 1 - ||v||^2 - (top dim_a - 1 eigenvalues of Z Z^t).
 
     Equal to ``closed_form_2xn`` for a two-level A. Reported unclamped: it can
     be negative for highly mixed states.
     """
-    return _traceless_spectrum(state, tol)[0]
+    return _traceless_spectrum(state)[0]
 
 
-def closed_form_2xn(state: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES) -> DiscordResult:
+def closed_form_2xn(state: BipartiteState) -> DiscordResult:
     """Exact affinity discord for a two-level party A.
 
     The value is ``lower_bound``; the optimal measurement is the Bloch
@@ -105,7 +103,7 @@ def closed_form_2xn(state: BipartiteState, tol: Tolerances = DEFAULT_TOLERANCES)
     """
     if state.dim_a != 2:
         raise WrongDimensionError(f"closed form requires dim_a = 2, got {state.dim_a}")
-    value, vecs = _traceless_spectrum(state, tol)
+    value, vecs = _traceless_spectrum(state)
     direction = vecs[:, -1]
     basis = MeasurementBasis.from_bloch_vector(direction)
     return DiscordResult(value, "closed-2xn", basis, parameters=direction, evaluations=0)

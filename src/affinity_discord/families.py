@@ -23,7 +23,6 @@ from .states import (
     werner_general,
     werner_two_qubit,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 FAMILIES = ("werner2", "belldiag", "werner", "isotropic")
 MEASURES = ("affinity", "hs")
@@ -140,20 +139,20 @@ class SweepRow:
     param: object  # float, or (c1, c2, c3) for belldiag
     measure: str
     analytic: float
-    optimized: float | None
-    gap: float | None
+    optimized: float
+    gap: float
 
 
-def _family_state(family: str, param, dim: int | None, tol: Tolerances) -> BipartiteState:
+def _family_state(family: str, param, dim: int | None) -> BipartiteState:
     if family == "werner2":
-        return werner_two_qubit(float(param), tol)
+        return werner_two_qubit(float(param))
     if family == "belldiag":
         c1, c2, c3 = (float(c) for c in param)
-        return bell_diagonal(c1, c2, c3, tol)
+        return bell_diagonal(c1, c2, c3)
     if family == "werner":
-        return werner_general(int(dim), float(param), tol)
+        return werner_general(int(dim), float(param))
     if family == "isotropic":
-        return isotropic(int(dim), float(param), tol)
+        return isotropic(int(dim), float(param))
     raise UnknownFamilyError(f"unknown family {family!r}")
 
 
@@ -178,11 +177,9 @@ def sweep(
     params: Iterable,
     measures: Sequence[str] = MEASURES,
     dim: int | None = None,
-    optimize: bool = True,
     strategy: str = "hybrid",
     budget: int | None = None,
     seed=0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> list[SweepRow]:
     """Tabulate analytic vs optimized discord over a parameter grid.
 
@@ -198,21 +195,18 @@ def sweep(
         raise OutOfRangeError(f"family {family!r} needs an explicit dimension")
     rows: list[SweepRow] = []
     for param in params:
-        state = _family_state(family, param, dim, tol) if optimize else None
+        state = _family_state(family, param, dim)
         for measure in measures:
             analytic = _family_analytic(family, param, dim, measure)
-            optimized = None
-            gap = None
-            if optimize:
-                run = optimize_affinity_discord if measure == "affinity" else optimize_hs_discord
-                optimized = run(state, strategy=strategy, budget=budget, seed=seed, tol=tol).value
-                gap = abs(analytic - optimized)
+            run = optimize_affinity_discord if measure == "affinity" else optimize_hs_discord
+            optimized = run(state, strategy=strategy, budget=budget, seed=seed).value
+            gap = abs(analytic - optimized)
             rows.append(SweepRow(family, param, measure, analytic, optimized, gap))
     return rows
 
 
-def _fmt12(x: float | None) -> str:
-    return "" if x is None else format(float(x), ".12g")
+def _fmt12(x: float) -> str:
+    return format(float(x), ".12g")
 
 
 def _fmt_param(param) -> str:

@@ -7,8 +7,6 @@ so accuracy is preferred over speed throughout.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import (
@@ -17,7 +15,7 @@ from .errors import (
     NonSquareError,
     NotPSDError,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import HERMITICITY, PSD_EPSILON
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -25,13 +23,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 for _p in PAULI:
     _p.setflags(write=False)
-
-
-class EigenDecomposition(NamedTuple):
-    """Hermitian eigensystem: eigenvalues ascending, eigenvectors as columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_matrix(m) -> np.ndarray:
@@ -62,22 +53,20 @@ def require_hermitian(m, rtol: float) -> np.ndarray:
     return (arr + arr.conj().T) / 2.0
 
 
-def hermitian_eig(m, tol: Tolerances = DEFAULT_TOLERANCES) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix with eigenvalues in ascending order."""
-    arr = require_hermitian(m, tol.hermiticity)
-    w, v = np.linalg.eigh(arr)
-    return EigenDecomposition(w, v)
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues in ascending order and eigenvectors as columns, of a Hermitian matrix."""
+    return np.linalg.eigh(require_hermitian(m, HERMITICITY))
 
 
-def matrix_sqrt_psd(m, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def matrix_sqrt_psd(m) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``[-psd_epsilon, 0)`` are treated as round-off and clamped
+    Eigenvalues in ``[-PSD_EPSILON, 0)`` are treated as round-off and clamped
     to zero before the square root; anything more negative is an error.
     """
-    w, v = hermitian_eig(m, tol)
-    if w.size and w[0] < -tol.psd_epsilon:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{tol.psd_epsilon:.1e}")
+    w, v = hermitian_eig(m)
+    if w.size and w[0] < -PSD_EPSILON:
+        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{PSD_EPSILON:.1e}")
     w = np.clip(w, 0.0, None)
     if w.size:
         # eigenvalues at relative round-off level are numerical zeros; the

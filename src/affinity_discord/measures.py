@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .states import BipartiteState, PureState, append_ancilla, schmidt_spectrum
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 
 MAX_OPT_DIM = 8
 GRID_THETA_DEFAULT = 181
@@ -73,10 +73,10 @@ class MeasurementBasis:
         """Stack of rank-1 projectors |v_k><v_k|, shape (dim, dim, dim)."""
         return np.einsum("ka,kb->kab", self.vectors, self.vectors.conj())
 
-    def check(self, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    def check(self) -> None:
         gram = self.vectors.conj() @ self.vectors.T
         defect = float(np.max(np.abs(gram - np.eye(self.dim))))
-        if defect > tol.projector_tolerance:
+        if defect > PROJECTOR_TOLERANCE:
             raise ValidationError(f"measurement vectors not orthonormal (defect {defect:.3e})")
 
     @classmethod
@@ -191,7 +191,7 @@ def _density_of(x) -> np.ndarray:
     return linalg.as_matrix(x)
 
 
-def affinity(rho, sigma, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def affinity(rho, sigma) -> float:
     """Affinity Tr(sqrt(rho) sqrt(sigma)) between two density matrices.
 
     Symmetric, equal to 1 exactly when the states coincide, and 0 for
@@ -201,20 +201,18 @@ def affinity(rho, sigma, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     b = _density_of(sigma)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    sa = linalg.matrix_sqrt_psd(a, tol)
-    sb = linalg.matrix_sqrt_psd(b, tol)
+    sa = linalg.matrix_sqrt_psd(a)
+    sb = linalg.matrix_sqrt_psd(b)
     val = float(np.real(np.trace(sa @ sb)))
     return float(np.clip(val, 0.0, 1.0))
 
 
-def affinity_metric(rho, sigma, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def affinity_metric(rho, sigma) -> float:
     """Metric sqrt(1 - affinity); zero exactly for identical states."""
-    return float(np.sqrt(1.0 - affinity(rho, sigma, tol)))
+    return float(np.sqrt(1.0 - affinity(rho, sigma)))
 
 
-def post_measurement(
-    state: BipartiteState, basis: MeasurementBasis, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BipartiteState:
+def post_measurement(state: BipartiteState, basis: MeasurementBasis) -> BipartiteState:
     """Pinched state sum_k (Pi_k x 1) rho (Pi_k x 1); idempotent and trace preserving."""
     if basis.dim != state.dim_a:
         raise DimensionMismatchError(
@@ -235,35 +233,19 @@ def _functional_at(
     return offset - _overlap(k, np.asarray(basis.vectors))
 
 
-def affinity_discord_at(
-    state: BipartiteState, basis: MeasurementBasis, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def affinity_discord_at(state: BipartiteState, basis: MeasurementBasis) -> float:
     """Affinity discord functional at a fixed measurement basis.
 
     Computed in the single-square-root form
     1 - sum_k Tr[sqrt(rho) (Pi_k x 1) sqrt(rho) (Pi_k x 1)], which equals the
     squared Hilbert-Schmidt distance between sqrt(rho) and its pinching.
     """
-    return _functional_at(state, basis, state.sqrt(tol), 1.0)
+    return _functional_at(state, basis, state.sqrt(), 1.0)
 
 
-def hs_discord_at(
-    state: BipartiteState, basis: MeasurementBasis, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def hs_discord_at(state: BipartiteState, basis: MeasurementBasis) -> float:
     """Hilbert-Schmidt discord functional ||rho - pinched(rho)||^2 at a fixed basis."""
     return _functional_at(state, basis, np.asarray(state.rho), state.purity())
-
-
-def affinity_to_measured(
-    state: BipartiteState, basis: MeasurementBasis, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Diagnostic: affinity between rho and its pinched state.
-
-    This literal reading (square root of the measured state) differs from
-    the single-square-root functional away from zero-discord bases; it is
-    exposed for comparison only.
-    """
-    return affinity(state, post_measurement(state, basis, tol), tol)
 
 
 def pure_discord(psi: PureState) -> DiscordResult:
@@ -295,7 +277,7 @@ def _grid_shape(budget: int | None) -> tuple[int, int, int]:
 
 
 def _maximize_grid(
-    k: np.ndarray, budget: int | None, rel_tol: float
+    k: np.ndarray, budget: int | None
 ) -> tuple[float, np.ndarray, MeasurementBasis, int]:
     """Bloch-angle lattice plus Nelder-Mead, both on the real form (c0 + n^T G n) / 2."""
     from scipy import optimize as sciopt
@@ -328,7 +310,7 @@ def _maximize_grid(
             options={
                 "maxfev": refine,
                 "xatol": 1e-10,
-                "fatol": rel_tol * max(1.0, abs(best_val)) * 1e-2,
+                "fatol": OPTIMIZER_REL_IMPROVEMENT * max(1.0, abs(best_val)) * 1e-2,
             },
         )
         evals += res.nfev
@@ -339,7 +321,7 @@ def _maximize_grid(
     return best_val, best_angles, basis, evals
 
 
-def _jacobi_sweeps(k: np.ndarray, vectors: np.ndarray, rel_tol: float) -> int:
+def _jacobi_sweeps(k: np.ndarray, vectors: np.ndarray) -> int:
     """Rotate each pair of kets onto its Bloch-form optimum, in place; returns the steps."""
     pairs = [[i, j] for i in range(len(vectors)) for j in range(i + 1, len(vectors))]
     if not pairs:
@@ -353,14 +335,14 @@ def _jacobi_sweeps(k: np.ndarray, vectors: np.ndarray, rel_tol: float) -> int:
         gain += (w[-1] - g[2, 2]) / 2.0
         vectors[pair] = MeasurementBasis.from_bloch_vector(n[:, -1]).vectors @ vectors[pair]
         if (step + 1) % len(pairs) == 0:
-            if gain < rel_tol:
+            if gain < OPTIMIZER_REL_IMPROVEMENT:
                 return step + 1
             gain = 0.0
     return PAIR_STEPS_PER_START
 
 
 def _maximize_multistart(
-    k: np.ndarray, dim_a: int, budget: int | None, seed, marginal: np.ndarray | None, rel_tol
+    k: np.ndarray, dim_a: int, budget: int | None, seed, marginal: np.ndarray | None
 ) -> tuple[float, MeasurementBasis, int]:
     """Seeded Jacobi pair sweeps; ``marginal``, if given, seeds the first start.
 
@@ -385,7 +367,7 @@ def _maximize_multistart(
             g = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a))
             _, u0 = np.linalg.eigh((g + g.conj().T) / 2.0)
         vectors = u0.T.copy()
-        steps += _jacobi_sweeps(k, vectors, rel_tol)
+        steps += _jacobi_sweeps(k, vectors)
         value = _overlap(k, vectors)
         if value > best_val:
             best_val, best_vectors = value, vectors
@@ -393,13 +375,7 @@ def _maximize_multistart(
 
 
 def _optimize(
-    state: BipartiteState,
-    s: np.ndarray,
-    offset: float,
-    strategy: str,
-    budget: int | None,
-    seed,
-    tol: Tolerances,
+    state: BipartiteState, s: np.ndarray, offset: float, strategy: str, budget: int | None, seed
 ) -> DiscordResult:
     """Minimize ``offset - overlap`` over projective bases on A, with K built from S."""
     if strategy not in STRATEGIES:
@@ -410,30 +386,25 @@ def _optimize(
             f"optimization supports dim_a <= {MAX_OPT_DIM}, got {dim_a}"
         )
     k = _overlap_kernel(s, dim_a, state.dim_b)
-    rel_tol = tol.optimizer_rel_improvement
     if strategy == "grid":
         if dim_a != 2:
             raise UnsupportedDimensionError("grid strategy requires dim_a = 2")
-        best, params, basis, evals = _maximize_grid(k, budget, rel_tol)
+        best, params, basis, evals = _maximize_grid(k, budget)
         method = "optimized-grid"
     else:
         marginal = state.marginal("a") if strategy == "hybrid" else None
-        best, basis, evals = _maximize_multistart(k, dim_a, budget, seed, marginal, rel_tol)
+        best, basis, evals = _maximize_multistart(k, dim_a, budget, seed, marginal)
         params, method = None, "optimized-local"
     return DiscordResult(offset - best, method, basis, parameters=params, evaluations=evals)
 
 
 def optimize_affinity_discord(
-    state: BipartiteState,
-    strategy: str = "hybrid",
-    budget: int | None = None,
-    seed=0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    state: BipartiteState, strategy: str = "hybrid", budget: int | None = None, seed=0
 ) -> DiscordResult:
     """Minimize the affinity discord functional over projective bases on A.
 
     ``strategy`` is 'multistart-local' (Jacobi pair sweeps from seeded random
-    bases, each start ending when a sweep gains less than optimizer_rel_improvement
+    bases, each start ending when a sweep gains less than OPTIMIZER_REL_IMPROVEMENT
     or after 300 pair steps), 'hybrid' (the same, with the marginal eigenbasis as
     the first start), or 'grid' (the lattice oracle: Bloch-angle lattice plus scipy
     Nelder-Mead refinement, two-level A only). For a two-level A the first two
@@ -441,26 +412,18 @@ def optimize_affinity_discord(
     ``budget`` caps the grid's evaluations, or gives ``budget // 300`` starts
     (default 64) for dim_a >= 3; identical seeds give identical results.
     """
-    return _optimize(state, state.sqrt(tol), 1.0, strategy, budget, seed, tol)
+    return _optimize(state, state.sqrt(), 1.0, strategy, budget, seed)
 
 
 def optimize_hs_discord(
-    state: BipartiteState,
-    strategy: str = "hybrid",
-    budget: int | None = None,
-    seed=0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    state: BipartiteState, strategy: str = "hybrid", budget: int | None = None, seed=0
 ) -> DiscordResult:
     """Minimize ||rho - pinched(rho)||^2 over projective bases on A."""
-    return _optimize(state, np.asarray(state.rho), state.purity(), strategy, budget, seed, tol)
+    return _optimize(state, np.asarray(state.rho), state.purity(), strategy, budget, seed)
 
 
 def remedied_hs_discord(
-    state: BipartiteState,
-    strategy: str = "hybrid",
-    budget: int | None = None,
-    seed=0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    state: BipartiteState, strategy: str = "hybrid", budget: int | None = None, seed=0
 ) -> DiscordResult:
     """Minimize ||sqrt(rho) - pinched(sqrt(rho))||^2 over projective bases on A.
 
@@ -468,23 +431,17 @@ def remedied_hs_discord(
     surface because it is the ancilla-safe repair of the Hilbert-Schmidt
     measure. Tr(sqrt(rho)^2) = 1 for a unit-trace state, so the offset is 1.
     """
-    return _optimize(state, state.sqrt(tol), 1.0, strategy, budget, seed, tol)
+    return _optimize(state, state.sqrt(), 1.0, strategy, budget, seed)
 
 
 def ancilla_behavior_report(
-    state: BipartiteState,
-    sigma,
-    strategy: str = "hybrid",
-    budget: int | None = None,
-    seed=0,
-    tol: Tolerances = DEFAULT_TOLERANCES,
+    state: BipartiteState, sigma, strategy: str = "hybrid", budget: int | None = None, seed=0
 ) -> AncillaReport:
     """Optimized affinity and HS discords before and after appending sigma on B."""
-    enlarged = append_ancilla(state, sigma, tol)
-    anc = linalg.as_matrix(sigma)
-    sigma_purity = float(np.real(np.vdot(anc, anc)))
-    aff_before = optimize_affinity_discord(state, strategy, budget, seed, tol).value
-    hs_before = optimize_hs_discord(state, strategy, budget, seed, tol).value
-    aff_after = optimize_affinity_discord(enlarged, strategy, budget, seed, tol).value
-    hs_after = optimize_hs_discord(enlarged, strategy, budget, seed, tol).value
+    enlarged = append_ancilla(state, sigma)
+    sigma_purity = linalg.frobenius_norm_sq(sigma)
+    aff_before = optimize_affinity_discord(state, strategy, budget, seed).value
+    hs_before = optimize_hs_discord(state, strategy, budget, seed).value
+    aff_after = optimize_affinity_discord(enlarged, strategy, budget, seed).value
+    hs_after = optimize_hs_discord(enlarged, strategy, budget, seed).value
     return AncillaReport(aff_before, aff_after, hs_before, hs_after, sigma_purity)

@@ -3,7 +3,7 @@
 A ``BipartiteState`` is a density matrix tagged with its subsystem
 dimensions ``(dim_a, dim_b)``. All constructors route their output through
 :func:`validate`, so every state object in circulation is Hermitian, unit
-trace, and positive semidefinite within the configured tolerances.
+trace, and positive semidefinite within the fixed gates of ``tolerances``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import PSD_EPSILON, STATE_HERMITICITY, UNIT_TRACE
 
 _DOMAIN_SLACK = 1e-12  # forgive float round-off at interval endpoints
 
@@ -47,15 +47,15 @@ class BipartiteState:
 
     def purity(self) -> float:
         """Tr(rho^2)."""
-        return float(np.real(np.vdot(self.rho, self.rho)))
+        return linalg.frobenius_norm_sq(self.rho)
 
     def marginal(self, keep: str = "a") -> np.ndarray:
         """Reduced density matrix of one party."""
         return linalg.partial_trace(self.rho, self.dim_a, self.dim_b, keep=keep)
 
-    def sqrt(self, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    def sqrt(self) -> np.ndarray:
         """Hermitian square root of the density matrix."""
-        return linalg.matrix_sqrt_psd(self.rho, tol)
+        return linalg.matrix_sqrt_psd(self.rho)
 
 
 @dataclass(frozen=True)
@@ -79,28 +79,28 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def to_density(self, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
+    def to_density(self) -> BipartiteState:
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return validate(rho, self.dim_a, self.dim_b, tol)
+        return validate(rho, self.dim_a, self.dim_b)
 
 
-def _require_density(mat, tol: Tolerances, what: str = "matrix") -> np.ndarray:
+def _require_density(mat, what: str = "matrix") -> np.ndarray:
     """Gate an arbitrary matrix as a density matrix; returns the symmetrized array."""
     arr = linalg.as_matrix(mat)
-    sym = linalg.require_hermitian(arr, tol.state_hermiticity)
+    sym = linalg.require_hermitian(arr, STATE_HERMITICITY)
     eigs = np.linalg.eigvalsh(sym)
-    if eigs.size and eigs[0] < -tol.psd_epsilon:
-        raise NotPSDError(f"{what} has eigenvalue {eigs[0]:.3e} below -{tol.psd_epsilon:.1e}")
+    if eigs.size and eigs[0] < -PSD_EPSILON:
+        raise NotPSDError(f"{what} has eigenvalue {eigs[0]:.3e} below -{PSD_EPSILON:.1e}")
     trace = float(np.real(np.trace(sym)))
-    if abs(trace - 1.0) > tol.unit_trace:
+    if abs(trace - 1.0) > UNIT_TRACE:
         raise NotUnitTraceError(f"{what} has trace {trace!r}, expected 1")
     return sym
 
 
-def validate(rho, dim_a: int, dim_b: int, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
+def validate(rho, dim_a: int, dim_b: int) -> BipartiteState:
     """Check finiteness, Hermiticity, positivity, and unit trace; return the tagged state.
 
-    Eigenvalues in ``[-psd_epsilon, 0)`` are tolerated here and clamped later
+    Eigenvalues in ``[-PSD_EPSILON, 0)`` are tolerated here and clamped later
     wherever a square root is taken.
     """
     arr = linalg.as_matrix(rho)
@@ -110,7 +110,7 @@ def validate(rho, dim_a: int, dim_b: int, tol: Tolerances = DEFAULT_TOLERANCES) 
         )
     if not np.all(np.isfinite(arr)):
         raise ValidationError("state has non-finite (NaN or Inf) entries")
-    sym = _require_density(arr, tol, what="state")
+    sym = _require_density(arr, what="state")
     return BipartiteState(dim_a, dim_b, sym)
 
 
@@ -137,9 +137,7 @@ def bell_diagonal_weights(c1: float, c2: float, c3: float) -> np.ndarray:
     return lams
 
 
-def bell_diagonal(
-    c1: float, c2: float, c3: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BipartiteState:
+def bell_diagonal(c1: float, c2: float, c3: float) -> BipartiteState:
     """Two-qubit state diagonal in the Bell basis with correlations <sigma_i x sigma_i> = c_i."""
     lams = bell_diagonal_weights(c1, c2, c3)
     if np.min(lams) < -_DOMAIN_SLACK:
@@ -150,10 +148,10 @@ def bell_diagonal(
     rho = eye4.copy()
     for c, sigma in zip((c1, c2, c3), linalg.PAULI):
         rho += c * linalg.kron(sigma, sigma)
-    return validate(rho / 4.0, 2, 2, tol)
+    return validate(rho / 4.0, 2, 2)
 
 
-def werner_two_qubit(p: float, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
+def werner_two_qubit(p: float) -> BipartiteState:
     """Two-qubit Werner state (1-p)/4 * I + p |psi-><psi-| with the singlet |psi->."""
     if not (-1.0 / 3.0 - _DOMAIN_SLACK <= p <= 1.0 + _DOMAIN_SLACK):
         raise OutOfRangeError(f"Werner parameter p={p} outside [-1/3, 1]")
@@ -161,7 +159,7 @@ def werner_two_qubit(p: float, tol: Tolerances = DEFAULT_TOLERANCES) -> Bipartit
     rho = (1.0 - p) / 4.0 * np.eye(4, dtype=np.complex128) + p * np.outer(
         singlet, singlet.conj()
     )
-    return validate(rho, 2, 2, tol)
+    return validate(rho, 2, 2)
 
 
 def swap_operator(m: int) -> np.ndarray:
@@ -173,7 +171,7 @@ def swap_operator(m: int) -> np.ndarray:
     return f
 
 
-def werner_general(m: int, x: float, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
+def werner_general(m: int, x: float) -> BipartiteState:
     """m x m Werner state with flip expectation Tr(rho F) = x."""
     if m < 2:
         raise OutOfRangeError(f"Werner dimension m={m} must be at least 2")
@@ -182,7 +180,7 @@ def werner_general(m: int, x: float, tol: Tolerances = DEFAULT_TOLERANCES) -> Bi
     f = swap_operator(m)
     denom = float(m) ** 3 - m
     rho = (m - x) / denom * np.eye(m * m, dtype=np.complex128) + (m * x - 1) / denom * f
-    return validate(rho, m, m, tol)
+    return validate(rho, m, m)
 
 
 def maximally_entangled(m: int) -> PureState:
@@ -194,7 +192,7 @@ def maximally_entangled(m: int) -> PureState:
     return PureState(m, m, amps)
 
 
-def isotropic(m: int, x: float, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
+def isotropic(m: int, x: float) -> BipartiteState:
     """m x m isotropic state with fidelity x to the maximally entangled state.
 
     Uses the unit-trace mixture (1-x)/(m^2-1) * (I - P) + x * P where P
@@ -209,21 +207,19 @@ def isotropic(m: int, x: float, tol: Tolerances = DEFAULT_TOLERANCES) -> Biparti
     proj = np.outer(psi, psi.conj())
     eye = np.eye(m * m, dtype=np.complex128)
     rho = (1.0 - x) / (m * m - 1.0) * (eye - proj) + x * proj
-    return validate(rho, m, m, tol)
+    return validate(rho, m, m)
 
 
-def classical_quantum(
-    probs, states_b, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BipartiteState:
+def classical_quantum(probs, states_b) -> BipartiteState:
     """State sum_k p_k |k><k| x rho_k, block diagonal in the computational basis of A."""
     p = np.asarray(probs, dtype=np.float64).ravel()
     if p.size != len(states_b):
         raise DimensionMismatchError(
             f"{p.size} probabilities but {len(states_b)} conditional states"
         )
-    if p.size == 0 or np.min(p) < -_DOMAIN_SLACK or abs(float(np.sum(p)) - 1.0) > tol.unit_trace:
+    if p.size == 0 or np.min(p) < -_DOMAIN_SLACK or abs(float(np.sum(p)) - 1.0) > UNIT_TRACE:
         raise InvalidProbabilitiesError(f"probabilities {p.tolist()} are not a distribution")
-    blocks = [_require_density(s, tol, what=f"conditional state {k}") for k, s in enumerate(states_b)]
+    blocks = [_require_density(s, what=f"conditional state {k}") for k, s in enumerate(states_b)]
     dim_b = blocks[0].shape[0]
     if any(b.shape[0] != dim_b for b in blocks):
         raise DimensionMismatchError("conditional states have mixed dimensions")
@@ -231,23 +227,21 @@ def classical_quantum(
     rho = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=np.complex128)
     for k, (pk, block) in enumerate(zip(p, blocks)):
         rho[k * dim_b : (k + 1) * dim_b, k * dim_b : (k + 1) * dim_b] = pk * block
-    return validate(rho, dim_a, dim_b, tol)
+    return validate(rho, dim_a, dim_b)
 
 
-def product_state(rho_a, rho_b, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
+def product_state(rho_a, rho_b) -> BipartiteState:
     """Uncorrelated state rho_a x rho_b."""
-    a = _require_density(rho_a, tol, what="party-A state")
-    b = _require_density(rho_b, tol, what="party-B state")
-    return validate(linalg.kron(a, b), a.shape[0], b.shape[0], tol)
+    a = _require_density(rho_a, what="party-A state")
+    b = _require_density(rho_b, what="party-B state")
+    return validate(linalg.kron(a, b), a.shape[0], b.shape[0])
 
 
-def append_ancilla(
-    state: BipartiteState, sigma, tol: Tolerances = DEFAULT_TOLERANCES
-) -> BipartiteState:
+def append_ancilla(state: BipartiteState, sigma) -> BipartiteState:
     """Enlarge the unmeasured party: rho x sigma with B' = B x C."""
-    anc = _require_density(sigma, tol, what="ancilla")
+    anc = _require_density(sigma, what="ancilla")
     rho = np.kron(state.rho, anc)
-    return validate(rho, state.dim_a, state.dim_b * anc.shape[0], tol)
+    return validate(rho, state.dim_a, state.dim_b * anc.shape[0])
 
 
 def schmidt_spectrum(psi: PureState) -> np.ndarray:
@@ -268,19 +262,13 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> np.ndarray:
     return rho / np.real(np.trace(rho))
 
 
-def random_state(
-    dim_a: int,
-    dim_b: int,
-    rank: int | None = None,
-    seed=None,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> BipartiteState:
+def random_state(dim_a: int, dim_b: int, rank: int | None = None, seed=None) -> BipartiteState:
     """Seeded random bipartite state of the given rank (Ginibre-induced measure)."""
     dim = dim_a * dim_b
     rank = dim if rank is None else rank
     if not (1 <= rank <= dim):
         raise OutOfRangeError(f"rank {rank} outside [1, {dim}]")
-    return validate(random_density(dim, rank, seed), dim_a, dim_b, tol)
+    return validate(random_density(dim, rank, seed), dim_a, dim_b)
 
 
 def random_pure_state(dim_a: int, dim_b: int, seed=None) -> PureState:
@@ -315,7 +303,7 @@ def state_to_json(state: BipartiteState) -> str:
     )
 
 
-def state_from_json(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
+def state_from_json(text: str) -> BipartiteState:
     try:
         doc = json.loads(text)
         dim_a, dim_b = doc["dim_a"], doc["dim_b"]
@@ -328,7 +316,7 @@ def state_from_json(text: str, tol: Tolerances = DEFAULT_TOLERANCES) -> Bipartit
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
-    return validate(rho, dim_a, dim_b, tol)
+    return validate(rho, dim_a, dim_b)
 
 
 def save_state(state: BipartiteState, path) -> None:
@@ -336,6 +324,6 @@ def save_state(state: BipartiteState, path) -> None:
         fh.write(state_to_json(state))
 
 
-def load_state(path, tol: Tolerances = DEFAULT_TOLERANCES) -> BipartiteState:
+def load_state(path) -> BipartiteState:
     with open(path, "r", encoding="utf-8") as fh:
-        return state_from_json(fh.read(), tol)
+        return state_from_json(fh.read())

@@ -1,32 +1,16 @@
-"""Central numerical tolerance configuration.
+"""The library's numerical gates, fixed in one place.
 
-Every tolerance used by the library lives in one frozen record so that the
-defaults are visible in a single place and can be overridden together
-(e.g. from the command line).
+Each check reads its constant where it runs; none of them is a setting.
 """
 
-from __future__ import annotations
-
-import dataclasses
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    # Matrix-level gates (relative to max(1, maxabs)).
-    hermiticity: float = 1e-12
-    # Density-matrix gates.
-    state_hermiticity: float = 1e-10
-    unit_trace: float = 1e-10
-    psd_epsilon: float = 1e-8  # eigenvalues in [-psd_epsilon, 0) clamp to zero
-    # Derived-quantity gates.
-    gamma_imag: float = 1e-10
-    projector_tolerance: float = 1e-10
-    # Optimizer stopping rule.
-    optimizer_rel_improvement: float = 1e-10
-
-    def replace(self, **overrides: float) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Matrix-level gate (relative to max(1, maxabs)) before an eigensolve or square root.
+HERMITICITY = 1e-12
+# Density-matrix gates.
+STATE_HERMITICITY = 1e-10
+UNIT_TRACE = 1e-10
+PSD_EPSILON = 1e-8  # eigenvalues in [-PSD_EPSILON, 0) are round-off
+# Derived-quantity gates.
+GAMMA_IMAG = 1e-10
+PROJECTOR_TOLERANCE = 1e-10
+# Optimizer stopping rule.
+OPTIMIZER_REL_IMPROVEMENT = 1e-10

@@ -209,6 +209,20 @@ def test_verify_injected_tolerance_fails(capsys):
     assert json.loads(out.strip())["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--state", "state.json"],
+        ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--steps", "2"],
+    ],
+)
+def test_tol_key_is_only_a_verify_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol-key", "psd_epsilon=1"])
+    assert exc.value.code == 2
+    assert "--tol-key" in capsys.readouterr().err
+
+
 def test_verify_unknown_check_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--checks", "nonsense")
     assert code == 2

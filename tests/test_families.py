@@ -221,11 +221,6 @@ def test_sweep_structure_and_gaps():
         assert row.gap is not None and row.gap < 1e-5
 
 
-def test_sweep_analytic_only():
-    rows = sweep("isotropic", [0.25, 0.5], dim=2, optimize=False)
-    assert all(row.optimized is None and row.gap is None for row in rows)
-
-
 def test_sweep_belldiag_triples():
     rng = np.random.default_rng(121)
     triples = [random_bell_triple(rng) for _ in range(2)]
@@ -243,7 +238,7 @@ def test_sweep_unknown_family_and_missing_dim():
 
 
 def test_sweep_csv_format():
-    rows = sweep("werner2", [0.0, 1.0], measures=("affinity",), optimize=False)
+    rows = sweep("werner2", [0.0, 1.0], measures=("affinity",))
     text = sweep_to_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "family,param,measure,analytic,optimized,gap"

@@ -97,6 +97,17 @@ def test_sqrt_rejects_indefinite():
         linalg.matrix_sqrt_psd(linalg.SIGMA_Z)
 
 
+@pytest.mark.parametrize("factor,raises", [(0.5, False), (2.0, True)])
+def test_sqrt_hermiticity_gate_sits_at_its_bound(factor, raises):
+    m = np.eye(2, dtype=complex) / 2.0
+    m[0, 1] = factor * 1e-12
+    if raises:
+        with pytest.raises(NonHermitianError):
+            linalg.matrix_sqrt_psd(m)
+    else:
+        linalg.matrix_sqrt_psd(m)
+
+
 def test_kron_identities():
     assert np.allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
     assert np.allclose(

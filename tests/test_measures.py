@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from affinity_discord import linalg, measures
 from affinity_discord.correlation import closed_form_2xn
-from affinity_discord.errors import DimensionMismatchError, UnsupportedDimensionError
+from affinity_discord.errors import (
+    DimensionMismatchError,
+    UnsupportedDimensionError,
+    ValidationError,
+)
 from affinity_discord.families import bell_diagonal_discord
 from affinity_discord.measures import (
     MeasurementBasis,
     affinity,
     affinity_discord_at,
     affinity_metric,
-    affinity_to_measured,
     ancilla_behavior_report,
     hs_discord_at,
     optimize_affinity_discord,
@@ -53,6 +56,17 @@ def test_basis_completeness_and_orthogonality():
             expected = projs[k] if k == l else np.zeros((3, 3))
             assert np.max(np.abs(prod - expected)) < 1e-10
         assert np.trace(projs[k]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("factor,raises", [(0.5, False), (2.0, True)])
+def test_basis_orthonormality_gate_sits_at_its_bound(factor, raises):
+    # the Gram matrix of diag(sqrt(1 + d), 1) is off the identity by d
+    u = np.diag([np.sqrt(1.0 + factor * 1e-10), 1.0])
+    if raises:
+        with pytest.raises(ValidationError):
+            MeasurementBasis.from_unitary(u)
+    else:
+        MeasurementBasis.from_unitary(u)
 
 
 def test_basis_from_bloch_vector_direction():
@@ -289,13 +303,13 @@ def test_literal_affinity_reading_differs_from_functional():
     # versus 1/2. Both vanish together on zero-discord states.
     state = bell_state(0, 0).to_density()
     basis = MeasurementBasis.computational(2)
-    literal = 1.0 - affinity_to_measured(state, basis)
+    literal = 1.0 - affinity(state, post_measurement(state, basis))
     assert literal == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=1e-10)
     assert affinity_discord_at(state, basis) == pytest.approx(0.5, abs=1e-12)
 
     cq = classical_quantum([0.4, 0.6], [random_density(2, seed=89), random_density(2, seed=90)])
     comp = MeasurementBasis.computational(2)
-    assert abs(1.0 - affinity_to_measured(cq, comp)) < 1e-7
+    assert abs(1.0 - affinity(cq, post_measurement(cq, comp))) < 1e-7
     assert abs(affinity_discord_at(cq, comp)) < 1e-10
 
 

@@ -8,6 +8,7 @@ from affinity_discord.errors import (
     DimensionMismatchError,
     InvalidBlochVectorError,
     InvalidProbabilitiesError,
+    NonHermitianError,
     NotPSDError,
     NotUnitTraceError,
     OutOfRangeError,
@@ -60,6 +61,31 @@ def test_validate_rejects_indefinite():
 def test_validate_rejects_non_finite(bad):
     with pytest.raises(ValidationError):
         validate(np.array([[bad, 0.0], [0.0, 0.5]]), 2, 1)
+
+
+def _defective_state(gate, defect):
+    if gate == "psd":
+        return np.diag([0.5 + defect, 0.5, 0.0, -defect]).astype(complex)
+    rho = np.eye(4, dtype=complex) / 4.0
+    if gate == "trace":
+        rho[3, 3] += defect
+    else:
+        rho[0, 1] = defect
+    return rho
+
+
+@pytest.mark.parametrize(
+    "gate,bound,error",
+    [
+        ("psd", 1e-8, NotPSDError),
+        ("trace", 1e-10, NotUnitTraceError),
+        ("hermiticity", 1e-10, NonHermitianError),
+    ],
+)
+def test_validate_gates_sit_at_their_bounds(gate, bound, error):
+    validate(_defective_state(gate, 0.5 * bound), 2, 2)
+    with pytest.raises(error):
+        validate(_defective_state(gate, 2.0 * bound), 2, 2)
 
 
 def test_validate_rejects_dimension_mismatch():
