@@ -70,7 +70,7 @@ def _as_pure(state: BipartiteState) -> PureState | None:
     return PureState(state.dim_a, state.dim_b, amps / np.linalg.norm(amps))
 
 
-def _measure_entry(state, psi, measure, method, strategy, budget, seed) -> dict:
+def _measure_entry(state, psi, measure, method, budget, seed) -> dict:
     """Run one measure by one method; ``psi`` is the state as a pure state, or None.
 
     ``auto`` takes the closed forms (pure, then two-level A) for the affinity
@@ -92,7 +92,7 @@ def _measure_entry(state, psi, measure, method, strategy, budget, seed) -> dict:
             "hs": optimize_hs_discord,
             "remedied": remedied_hs_discord,
         }[measure]
-        result = optimizer(state, strategy=strategy, budget=budget, seed=seed)
+        result = optimizer(state, budget=budget, seed=seed)
     elif method == "bound":
         raw_bound = lower_bound(state)
         result = DiscordResult(max(raw_bound, 0.0), "bound")
@@ -122,7 +122,7 @@ def cmd_compute(args) -> int:
     psi = _as_pure(state)
     measures = ["affinity", "hs", "remedied"] if args.measure == "all" else [args.measure]
     entries = {
-        m: _measure_entry(state, psi, m, args.method, args.strategy, args.budget, args.seed)
+        m: _measure_entry(state, psi, m, args.method, args.budget, args.seed)
         for m in measures
     }
     diagnostics = {
@@ -160,7 +160,6 @@ def cmd_sweep(args) -> int:
         params,
         measures=measures,
         dim=args.dim,
-        strategy=args.strategy,
         budget=args.budget,
         seed=args.seed,
     )
@@ -214,22 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    common.add_argument(
+    common.add_argument("--out", default=None, help="write output to this path")
+    optimizing = argparse.ArgumentParser(add_help=False)
+    optimizing.add_argument(
         "--budget",
         type=int,
         default=None,
-        help="grid evaluations, or 300 pair steps per start for dim_a >= 3 "
-        "(a two-level A takes one exact pair step under hybrid and multistart-local)",
+        help="pair steps for dim_a >= 3, at least 1: budget // 300 starts, at least one "
+        "(64 without it); a two-level A takes one exact pair step whatever the budget",
     )
-    common.add_argument(
-        "--strategy",
-        choices=["grid", "multistart-local", "hybrid"],
-        default="hybrid",
-        help="measurement-optimization strategy",
-    )
-    common.add_argument("--out", default=None, help="write output to this path")
 
-    p_compute = sub.add_parser("compute", parents=[common], help="compute measures for a state file")
+    p_compute = sub.add_parser(
+        "compute", parents=[common, optimizing], help="compute measures for a state file"
+    )
     p_compute.add_argument("--state", required=True, help="path to a JSON state file")
     p_compute.add_argument(
         "--measure", choices=["affinity", "hs", "remedied", "all"], default="affinity"
@@ -240,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--format", choices=["json"], default="json")
     p_compute.set_defaults(fn=cmd_compute)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="tabulate a family over a parameter grid")
+    p_sweep = sub.add_parser(
+        "sweep", parents=[common, optimizing], help="tabulate a family over a parameter grid"
+    )
     p_sweep.add_argument("--family", choices=["werner2", "werner", "isotropic"], required=True)
     p_sweep.add_argument("--dim", type=int, default=None, help="subsystem dimension m")
     p_sweep.add_argument("--from", dest="start", type=float, required=True)

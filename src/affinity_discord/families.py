@@ -177,7 +177,6 @@ def sweep(
     params: Iterable,
     measures: Sequence[str] = MEASURES,
     dim: int | None = None,
-    strategy: str = "hybrid",
     budget: int | None = None,
     seed=0,
 ) -> list[SweepRow]:
@@ -199,7 +198,7 @@ def sweep(
         for measure in measures:
             analytic = _family_analytic(family, param, dim, measure)
             run = optimize_affinity_discord if measure == "affinity" else optimize_hs_discord
-            optimized = run(state, strategy=strategy, budget=budget, seed=seed).value
+            optimized = run(state, budget=budget, seed=seed).value
             gap = abs(analytic - optimized)
             rows.append(SweepRow(family, param, measure, analytic, optimized, gap))
     return rows

@@ -14,12 +14,14 @@ every evaluation after it costs the same for any dim_b.
 For orthonormal kets (v_0, v_1) on A and O_s = sum_pq (sigma_s)_pq |v_p><v_q|
 (sigma_0 = 1), the projectors (O_0 +/- n.O)/2 have the overlap (c0 + n^T G n)/2
 in the unit Bloch vector n, with c0 = vec(O_0)^dagger K vec(O_0) and
-G_ij = Re vec(O_i)^dagger K vec(O_j). The default route runs Jacobi sweeps
+G_ij = Re vec(O_i)^dagger K vec(O_j). The optimizer runs Jacobi sweeps
 (Cardoso-Souloumiac, SIMAX 17(1), 1996) that rotate each pair of basis kets onto
-the top eigenvector of its G. A two-level A has one pair, so one step is the
-global optimum there and one start suffices. The 'grid' strategy evaluates the
-form on a Bloch-angle lattice for a two-level A and refines it with Nelder-Mead;
-it is kept as an independent oracle and is the only user of scipy.
+the top eigenvector of its G, from the marginal eigenbasis on A and then seeded
+random bases. A two-level A has one pair, so one step is the global optimum
+there and one start suffices. ``_maximize_grid`` evaluates the form on a
+Bloch-angle lattice for a two-level A and refines it with Nelder-Mead; it is an
+independent oracle for ``verify``, not a route of the optimizer, and the only
+user of scipy.
 """
 
 from __future__ import annotations
@@ -40,13 +42,11 @@ from .states import BipartiteState, PureState, append_ancilla, schmidt_spectrum
 from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 
 MAX_OPT_DIM = 8
-GRID_THETA_DEFAULT = 181
-GRID_PHI_DEFAULT = 360
-GRID_REFINE_DEFAULT = 500
+GRID_THETA = 181
+GRID_PHI = 360
+GRID_REFINE = 500
 MULTISTART_DEFAULT = 64
 PAIR_STEPS_PER_START = 300
-
-STRATEGIES = ("grid", "multistart-local", "hybrid")
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,10 @@ class MeasurementBasis:
 class DiscordResult:
     """Discord value with the method that produced it.
 
-    ``method`` is one of closed-pure, closed-2xn, bound, optimized-grid,
-    optimized-local, family-analytic. optimized-grid comes only from the 'grid'
-    strategy and carries the Bloch angles in ``parameters``; optimized-local
+    ``method`` is one of closed-pure, closed-2xn, bound, optimized-local.
+    closed-2xn carries the Bloch direction in ``parameters``; optimized-local
     comes from the Jacobi sweeps, for one- and two-level A too, with
-    ``parameters`` None and ``evaluations`` counting pair steps.
+    ``evaluations`` counting pair steps.
     """
 
     value: float
@@ -266,27 +265,14 @@ def _seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _grid_shape(budget: int | None) -> tuple[int, int, int]:
-    if budget is None:
-        return GRID_THETA_DEFAULT, GRID_PHI_DEFAULT, GRID_REFINE_DEFAULT
-    points = max(16, int(budget * 0.9))
-    n_theta = max(3, int(np.sqrt(points / 2.0)))
-    n_phi = max(4, points // n_theta)
-    refine = max(0, budget - n_theta * n_phi)
-    return n_theta, n_phi, refine
-
-
-def _maximize_grid(
-    k: np.ndarray, budget: int | None
-) -> tuple[float, np.ndarray, MeasurementBasis, int]:
-    """Bloch-angle lattice plus Nelder-Mead, both on the real form (c0 + n^T G n) / 2."""
+def _maximize_grid(k: np.ndarray) -> float:
+    """Best overlap of a two-level A: Bloch lattice plus Nelder-Mead on (c0 + n^T G n) / 2."""
     from scipy import optimize as sciopt
 
-    n_theta, n_phi, refine = _grid_shape(budget)
     c0, g = _bloch_form(k, np.eye(2))
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    n = np.empty((n_theta, n_phi, 3))
+    thetas = np.linspace(0.0, np.pi, GRID_THETA)
+    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
+    n = np.empty((GRID_THETA, GRID_PHI, 3))
     n[..., 0] = np.outer(np.sin(thetas), np.cos(phis))
     n[..., 1] = np.outer(np.sin(thetas), np.sin(phis))
     n[..., 2] = np.cos(thetas)[:, None]
@@ -294,31 +280,23 @@ def _maximize_grid(
     values = (c0 + np.einsum("gi,gi->g", n @ g, n)) / 2.0
     best = int(np.argmax(values))
     best_val = float(values[best])
-    best_angles = np.array([thetas[best // n_phi], phis[best % n_phi]])
-    evals = n.shape[0]
 
     def negative(angles):
         st = np.sin(angles[0])
         d = np.array([st * np.cos(angles[1]), st * np.sin(angles[1]), np.cos(angles[0])])
         return -(c0 + d @ g @ d) / 2.0
 
-    if refine > 0:
-        res = sciopt.minimize(
-            negative,
-            best_angles,
-            method="Nelder-Mead",
-            options={
-                "maxfev": refine,
-                "xatol": 1e-10,
-                "fatol": OPTIMIZER_REL_IMPROVEMENT * max(1.0, abs(best_val)) * 1e-2,
-            },
-        )
-        evals += res.nfev
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_angles = np.asarray(res.x, dtype=np.float64)
-    basis = MeasurementBasis.from_angles(best_angles[0], best_angles[1])
-    return best_val, best_angles, basis, evals
+    res = sciopt.minimize(
+        negative,
+        np.array([thetas[best // GRID_PHI], phis[best % GRID_PHI]]),
+        method="Nelder-Mead",
+        options={
+            "maxfev": GRID_REFINE,
+            "xatol": 1e-10,
+            "fatol": OPTIMIZER_REL_IMPROVEMENT * max(1.0, abs(best_val)) * 1e-2,
+        },
+    )
+    return max(best_val, float(-res.fun))
 
 
 def _jacobi_sweeps(k: np.ndarray, vectors: np.ndarray) -> int:
@@ -342,9 +320,9 @@ def _jacobi_sweeps(k: np.ndarray, vectors: np.ndarray) -> int:
 
 
 def _maximize_multistart(
-    k: np.ndarray, dim_a: int, budget: int | None, seed, marginal: np.ndarray | None
+    k: np.ndarray, dim_a: int, budget: int | None, seed, marginal: np.ndarray
 ) -> tuple[float, MeasurementBasis, int]:
-    """Seeded Jacobi pair sweeps; ``marginal``, if given, seeds the first start.
+    """Jacobi pair sweeps from the eigenbasis of ``marginal``, then from seeded random bases.
 
     A two-level A has a single pair, whose step is the global optimum, and a
     one-level A has none: one start.
@@ -361,7 +339,7 @@ def _maximize_multistart(
     steps = 0
     for j in range(starts):
         rng = np.random.default_rng(seeds[j])
-        if j == 0 and marginal is not None:
+        if j == 0:
             _, u0 = np.linalg.eigh(marginal)
         else:
             g = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a))
@@ -375,55 +353,45 @@ def _maximize_multistart(
 
 
 def _optimize(
-    state: BipartiteState, s: np.ndarray, offset: float, strategy: str, budget: int | None, seed
+    state: BipartiteState, s: np.ndarray, offset: float, budget: int | None, seed
 ) -> DiscordResult:
     """Minimize ``offset - overlap`` over projective bases on A, with K built from S."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
+    if budget is not None and budget < 1:
+        raise OutOfRangeError(f"budget must be at least 1, got {budget}")
     dim_a = state.dim_a
     if dim_a > MAX_OPT_DIM:
         raise UnsupportedDimensionError(
             f"optimization supports dim_a <= {MAX_OPT_DIM}, got {dim_a}"
         )
     k = _overlap_kernel(s, dim_a, state.dim_b)
-    if strategy == "grid":
-        if dim_a != 2:
-            raise UnsupportedDimensionError("grid strategy requires dim_a = 2")
-        best, params, basis, evals = _maximize_grid(k, budget)
-        method = "optimized-grid"
-    else:
-        marginal = state.marginal("a") if strategy == "hybrid" else None
-        best, basis, evals = _maximize_multistart(k, dim_a, budget, seed, marginal)
-        params, method = None, "optimized-local"
-    return DiscordResult(offset - best, method, basis, parameters=params, evaluations=evals)
+    best, basis, evals = _maximize_multistart(k, dim_a, budget, seed, state.marginal("a"))
+    return DiscordResult(offset - best, "optimized-local", basis, evaluations=evals)
 
 
 def optimize_affinity_discord(
-    state: BipartiteState, strategy: str = "hybrid", budget: int | None = None, seed=0
+    state: BipartiteState, budget: int | None = None, seed=0
 ) -> DiscordResult:
     """Minimize the affinity discord functional over projective bases on A.
 
-    ``strategy`` is 'multistart-local' (Jacobi pair sweeps from seeded random
-    bases, each start ending when a sweep gains less than OPTIMIZER_REL_IMPROVEMENT
-    or after 300 pair steps), 'hybrid' (the same, with the marginal eigenbasis as
-    the first start), or 'grid' (the lattice oracle: Bloch-angle lattice plus scipy
-    Nelder-Mead refinement, two-level A only). For a two-level A the first two
-    take one start, whose single pair step is the exact optimum (evaluations <= 2).
-    ``budget`` caps the grid's evaluations, or gives ``budget // 300`` starts
-    (default 64) for dim_a >= 3; identical seeds give identical results.
+    Jacobi pair sweeps, the first start from the eigenbasis of the marginal on A
+    and the rest from seeded random bases, each start ending when a sweep gains
+    less than OPTIMIZER_REL_IMPROVEMENT or after 300 pair steps. A two-level A
+    takes one start, whose single pair step is the exact optimum (evaluations
+    <= 2). ``budget`` (at least 1) gives ``budget // 300`` starts, at least one
+    (default 64), for dim_a >= 3; identical seeds give identical results.
     """
-    return _optimize(state, state.sqrt(), 1.0, strategy, budget, seed)
+    return _optimize(state, state.sqrt(), 1.0, budget, seed)
 
 
 def optimize_hs_discord(
-    state: BipartiteState, strategy: str = "hybrid", budget: int | None = None, seed=0
+    state: BipartiteState, budget: int | None = None, seed=0
 ) -> DiscordResult:
     """Minimize ||rho - pinched(rho)||^2 over projective bases on A."""
-    return _optimize(state, np.asarray(state.rho), state.purity(), strategy, budget, seed)
+    return _optimize(state, np.asarray(state.rho), state.purity(), budget, seed)
 
 
 def remedied_hs_discord(
-    state: BipartiteState, strategy: str = "hybrid", budget: int | None = None, seed=0
+    state: BipartiteState, budget: int | None = None, seed=0
 ) -> DiscordResult:
     """Minimize ||sqrt(rho) - pinched(sqrt(rho))||^2 over projective bases on A.
 
@@ -431,17 +399,17 @@ def remedied_hs_discord(
     surface because it is the ancilla-safe repair of the Hilbert-Schmidt
     measure. Tr(sqrt(rho)^2) = 1 for a unit-trace state, so the offset is 1.
     """
-    return _optimize(state, state.sqrt(), 1.0, strategy, budget, seed)
+    return _optimize(state, state.sqrt(), 1.0, budget, seed)
 
 
 def ancilla_behavior_report(
-    state: BipartiteState, sigma, strategy: str = "hybrid", budget: int | None = None, seed=0
+    state: BipartiteState, sigma, budget: int | None = None, seed=0
 ) -> AncillaReport:
     """Optimized affinity and HS discords before and after appending sigma on B."""
     enlarged = append_ancilla(state, sigma)
     sigma_purity = linalg.frobenius_norm_sq(sigma)
-    aff_before = optimize_affinity_discord(state, strategy, budget, seed).value
-    hs_before = optimize_hs_discord(state, strategy, budget, seed).value
-    aff_after = optimize_affinity_discord(enlarged, strategy, budget, seed).value
-    hs_after = optimize_hs_discord(enlarged, strategy, budget, seed).value
+    aff_before = optimize_affinity_discord(state, budget, seed).value
+    hs_before = optimize_hs_discord(state, budget, seed).value
+    aff_after = optimize_affinity_discord(enlarged, budget, seed).value
+    hs_after = optimize_hs_discord(enlarged, budget, seed).value
     return AncillaReport(aff_before, aff_after, hs_before, hs_after, sigma_purity)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinity_discord.cli import main
+from affinity_discord.cli import build_parser, main
 from affinity_discord.families import werner_general_discords
 from affinity_discord.states import (
     bell_state,
@@ -209,18 +210,54 @@ def test_verify_injected_tolerance_fails(capsys):
     assert json.loads(out.strip())["passed"] is False
 
 
+_COMPUTE_ARGV = ["compute", "--state", "state.json"]
+_SWEEP_ARGV = ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--steps", "2"]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["compute", "--state", "state.json"],
-        ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--steps", "2"],
+        (_COMPUTE_ARGV, ["--tol-key", "psd_epsilon=1"]),
+        (_SWEEP_ARGV, ["--tol-key", "psd_epsilon=1"]),
+        (["verify"], ["--budget", "1"]),
+        (_COMPUTE_ARGV, ["--strategy", "hybrid"]),
+        (_SWEEP_ARGV, ["--strategy", "hybrid"]),
+        (["verify"], ["--strategy", "hybrid"]),
+    ],
+    ids=[
+        "compute-tol-key", "sweep-tol-key", "verify-budget",
+        "compute-strategy", "sweep-strategy", "verify-strategy",
     ],
 )
-def test_tol_key_is_only_a_verify_flag(argv, capsys):
+def test_unused_flag_exits_2(argv, flag, capsys):
+    # a subcommand has only the flags it reads
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--tol-key", "psd_epsilon=1"])
+        main(argv + flag)
     assert exc.value.code == 2
-    assert "--tol-key" in capsys.readouterr().err
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_compute_budget_below_one_exits_2(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    save_state(random_state(4, 2, seed=3), path)
+    code, out, err = run_cli(
+        capsys, "compute", "--state", str(path), "--method", "optimize", "--budget", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "OutOfRangeError"
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [line.split("#")[0].split() for block in blocks for line in block.splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["affinity-discord"]]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_lines_parse(argv):
+    build_parser().parse_args(argv)
 
 
 def test_verify_unknown_check_exits_2(capsys):
@@ -243,16 +280,16 @@ def test_python_dash_m_runs_the_cli(module):
 _SCIPY_PROBE = """
 import json, sys
 import affinity_discord.cli
-from affinity_discord import closed_form_2xn, optimize_affinity_discord, sweep, werner_two_qubit
+from affinity_discord import closed_form_2xn, sweep, werner_two_qubit
+from affinity_discord.measures import _maximize_grid, _overlap_kernel
 rows = sweep("werner2", [0.5])
 loaded = "scipy.optimize" in sys.modules
 state = werner_two_qubit(0.5)
-res = optimize_affinity_discord(state, strategy="grid")
+value = 1.0 - _maximize_grid(_overlap_kernel(state.sqrt(), 2, 2))
 print(json.dumps({
     "loaded_after_sweep": loaded,
     "sweep_gap": max(row.gap for row in rows),
-    "grid_method": res.method,
-    "grid_gap": abs(res.value - closed_form_2xn(state).value),
+    "grid_gap": abs(value - closed_form_2xn(state).value),
     "loaded_after_grid": "scipy.optimize" in sys.modules,
 }))
 """
@@ -268,6 +305,5 @@ def test_scipy_optimize_loads_only_for_the_grid():
     report = json.loads(proc.stdout)
     assert report["loaded_after_sweep"] is False
     assert report["sweep_gap"] < 1e-12
-    assert report["grid_method"] == "optimized-grid"
     assert report["grid_gap"] < 1e-9
     assert report["loaded_after_grid"] is True

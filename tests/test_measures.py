@@ -9,6 +9,7 @@ from affinity_discord import linalg, measures
 from affinity_discord.correlation import closed_form_2xn
 from affinity_discord.errors import (
     DimensionMismatchError,
+    OutOfRangeError,
     UnsupportedDimensionError,
     ValidationError,
 )
@@ -281,20 +282,19 @@ def test_grid_optimum_matches_2xn_closed_forms(dim_b, data):
     rank = data.draw(st.integers(1, 2 * dim_b), label="rank")
     state = random_state(2, dim_b, rank=rank, seed=seed)
     closed = closed_form_2xn(state).value
-    pairs = [
-        (optimize_affinity_discord, closed),
-        (remedied_hs_discord, closed),
-        (optimize_hs_discord, _hs_closed_2xn(state)),
+    cases = [
+        (optimize_affinity_discord, state.sqrt(), 1.0, closed),
+        (remedied_hs_discord, state.sqrt(), 1.0, closed),
+        (optimize_hs_discord, np.asarray(state.rho), state.purity(), _hs_closed_2xn(state)),
     ]
-    for optimizer, exact in pairs:
-        value = optimizer(state, strategy="grid").value
+    for optimizer, s, offset, exact in cases:
+        value = offset - measures._maximize_grid(measures._overlap_kernel(s, 2, dim_b))
         assert exact - 1e-12 <= value <= exact + 1e-9, optimizer.__name__
-        # one pair, so one Jacobi step reaches the optimum from either start
-        for strategy in ("hybrid", "multistart-local"):
-            res = optimizer(state, strategy=strategy, seed=seed)
-            assert abs(res.value - exact) <= 1e-12, (optimizer.__name__, strategy)
-            assert res.method == "optimized-local"
-            assert res.evaluations <= 2
+        # one pair, so one Jacobi step reaches the optimum
+        res = optimizer(state, seed=seed)
+        assert abs(res.value - exact) <= 1e-12, optimizer.__name__
+        assert res.method == "optimized-local"
+        assert res.evaluations <= 2
 
 
 def test_literal_affinity_reading_differs_from_functional():
@@ -390,7 +390,7 @@ def test_optimize_affinity_multistart_pure_three_level():
 def test_optimize_multistart_strategy_on_qubit():
     state = werner_two_qubit(0.8)
     expected = closed_form_2xn(state).value
-    res = optimize_affinity_discord(state, strategy="multistart-local", budget=3000, seed=8)
+    res = optimize_affinity_discord(state, budget=3000, seed=8)
     assert res.value == pytest.approx(expected, abs=1e-5)
 
 
@@ -414,10 +414,13 @@ def test_local_route_finds_zero_on_rotated_uniform_cq(m):
 
 @pytest.mark.parametrize("m", [4, 6, 8])
 def test_multistart_matches_pure_formula(m):
+    # the marginal eigenbasis of a pure m x 2 state is its Schmidt basis, already the
+    # optimum; starting from the computational basis makes the search do the work
     psi = random_pure_state(m, 2, seed=210 + m)
-    res = optimize_affinity_discord(psi.to_density(), strategy="multistart-local", seed=m)
+    k = measures._overlap_kernel(psi.to_density().sqrt(), m, 2)
+    best, _, _ = measures._maximize_multistart(k, m, None, m, np.eye(m, dtype=complex))
     expected = pure_discord(psi).value
-    assert abs(res.value - expected) < DEFAULT_CHECK_TOLERANCES["pure_optimized"]
+    assert abs(1.0 - best - expected) < DEFAULT_CHECK_TOLERANCES["pure_optimized"]
 
 
 def test_optimize_rejects_large_dimension():
@@ -426,17 +429,22 @@ def test_optimize_rejects_large_dimension():
         optimize_affinity_discord(state, seed=0)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_optimize_rejects_budget_below_one(budget):
+    state = random_state(4, 2, seed=97)
+    for optimizer in (optimize_affinity_discord, optimize_hs_discord, remedied_hs_discord):
+        with pytest.raises(OutOfRangeError):
+            optimizer(state, budget=budget)
+
+
 def test_one_level_a_takes_the_local_route():
     # a one-level A has no pair to rotate: the single basis {1}, reached in 0 steps
     state = random_state(1, 3, seed=96)
     for optimizer in (optimize_affinity_discord, optimize_hs_discord, remedied_hs_discord):
-        for strategy in ("hybrid", "multistart-local"):
-            res = optimizer(state, strategy=strategy, seed=0)
-            assert res.method == "optimized-local", (optimizer.__name__, strategy)
-            assert res.evaluations == 0
-            assert abs(res.value) < 1e-12
-        with pytest.raises(UnsupportedDimensionError):
-            optimizer(state, strategy="grid")
+        res = optimizer(state, seed=0)
+        assert res.method == "optimized-local", optimizer.__name__
+        assert res.evaluations == 0
+        assert abs(res.value) < 1e-12
 
 
 def test_optimize_hs_werner_values():
