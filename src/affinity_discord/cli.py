@@ -7,15 +7,19 @@ Exit codes: 0 success, 1 verification failure, 2 invalid input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
+from . import linalg
 from .correlation import closed_form_2xn, lower_bound
 from .errors import UnsupportedDimensionError, ValidationError
-from .families import sweep, sweep_to_csv
+from .families import MEASURES, sweep, sweep_to_csv
 from .measures import (
+    MULTISTART_DEFAULT,
+    PAIR_STEPS_PER_START,
     DiscordResult,
     optimize_affinity_discord,
     optimize_hs_discord,
@@ -25,7 +29,7 @@ from .measures import (
 from .states import BipartiteState, PureState, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
-_PURITY_PURE_CUTOFF = 1e-8
+_PURITY_PREFILTER = 1e-8
 _BOUND_MAX_DIM = 64  # skip the spectral bound for larger composite systems
 
 EXIT_OK = 0
@@ -63,9 +67,15 @@ def _measurement_payload(result: DiscordResult):
 
 
 def _as_pure(state: BipartiteState) -> PureState | None:
-    if state.purity() < 1.0 - _PURITY_PURE_CUTOFF:
+    """The state as a pure state when one eigenvalue survives the square root's snap, else None."""
+    # One surviving eigenvalue forces purity >= (1 - 2 d^2 eps) Tr(rho)^2, above
+    # this cut for d <= 4096, so the purity test is a necessary condition that
+    # spares mixed states the eigh.
+    if state.purity() < 1.0 - _PURITY_PREFILTER:
         return None
     w, v = np.linalg.eigh(state.rho)
+    if np.count_nonzero(linalg.snap_spectrum(w)) != 1:
+        return None
     amps = v[:, -1]
     return PureState(state.dim_a, state.dim_b, amps / np.linalg.norm(amps))
 
@@ -151,10 +161,8 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--steps must be positive, got {args.steps}")
     if args.start > args.stop:
         raise ValidationError(f"--from {args.start} exceeds --to {args.stop}")
-    if args.family in ("werner", "isotropic") and args.dim is None:
-        raise ValidationError(f"--family {args.family} requires --dim")
     params = np.linspace(args.start, args.stop, args.steps)
-    measures = ("affinity", "hs") if args.measure == "all" else (args.measure,)
+    measures = MEASURES if args.measure == "all" else (args.measure,)
     rows = sweep(
         args.family,
         params,
@@ -164,17 +172,7 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
     )
     if args.format == "json":
-        payload = [
-            {
-                "family": r.family,
-                "param": float(r.param),
-                "measure": r.measure,
-                "analytic": r.analytic,
-                "optimized": r.optimized,
-                "gap": r.gap,
-            }
-            for r in rows
-        ]
+        payload = [dataclasses.asdict(row) for row in rows]
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
         _emit(sweep_to_csv(rows), args.out)
@@ -219,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="pair steps for dim_a >= 3, at least 1: budget // 300 starts, at least one "
-        "(64 without it); a two-level A takes one exact pair step whatever the budget",
+        help=f"pair steps for dim_a >= 3, at least 1: budget // {PAIR_STEPS_PER_START} starts, "
+        f"at least one ({MULTISTART_DEFAULT} without it); a two-level A takes one exact pair "
+        "step whatever the budget",
     )
 
     p_compute = sub.add_parser(
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--method", choices=["auto", "closed", "bound", "optimize"], default="auto"
     )
-    p_compute.add_argument("--format", choices=["json"], default="json")
     p_compute.set_defaults(fn=cmd_compute)
 
     p_sweep = sub.add_parser(
@@ -244,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--measure", choices=["affinity", "hs", "all"], default="all")
+    p_sweep.add_argument("--measure", choices=[*MEASURES, "all"], default="all")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(fn=cmd_sweep)
 
@@ -269,21 +267,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return EXIT_INVALID_INPUT
-    except UnsupportedDimensionError as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return EXIT_UNSUPPORTED
-    except FileNotFoundError as exc:
-        sys.stderr.write(
-            json.dumps({"error": "FileNotFound", "message": str(exc)}) + "\n"
-        )
-        return EXIT_INVALID_INPUT
+    except (ValidationError, UnsupportedDimensionError, FileNotFoundError) as exc:
+        name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
+        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
+        unsupported = isinstance(exc, UnsupportedDimensionError)
+        return EXIT_UNSUPPORTED if unsupported else EXIT_INVALID_INPUT
 
 
 def entry_point() -> None:

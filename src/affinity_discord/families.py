@@ -8,7 +8,7 @@ parameter grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -59,9 +59,7 @@ def bell_diagonal_sqrt_data(c1: float, c2: float, c3: float) -> BellDiagonalSqrt
         raise InvalidBlochVectorError(
             f"correlation triple ({c1}, {c2}, {c3}) gives negative weight"
         )
-    lams = np.clip(lams, 0.0, None)
-    # same relative round-off policy as the matrix square root
-    lams[lams < np.max(lams) * lams.size * np.finfo(np.float64).eps] = 0.0
+    lams = linalg.snap_spectrum(lams)  # the matrix square root's round-off rule
     r = np.sqrt(lams)
     h = float(np.sum(r))
     d = np.array(
@@ -143,33 +141,25 @@ class SweepRow:
     gap: float
 
 
-def _family_state(family: str, param, dim: int | None) -> BipartiteState:
+def _family_point(
+    family: str, param, dim: int | None
+) -> tuple[BipartiteState, Callable[[], tuple[float, float]]]:
+    """The family's state at ``param``, and an oracle returning its (affinity, HS) discords.
+
+    ``sweep`` has checked the family and the dimension. The oracle looks its
+    formulas up by module name when called, so a rebinding of these names
+    (perfbench's tracer) takes effect.
+    """
     if family == "werner2":
-        return werner_two_qubit(float(param))
+        p = float(param)
+        return werner_two_qubit(p), lambda: werner_two_qubit_discords(p)
     if family == "belldiag":
-        c1, c2, c3 = (float(c) for c in param)
-        return bell_diagonal(c1, c2, c3)
+        c = tuple(float(x) for x in param)
+        return bell_diagonal(*c), lambda: (bell_diagonal_discord(*c), bell_diagonal_hs_discord(*c))
+    m, x = int(dim), float(param)
     if family == "werner":
-        return werner_general(int(dim), float(param))
-    if family == "isotropic":
-        return isotropic(int(dim), float(param))
-    raise UnknownFamilyError(f"unknown family {family!r}")
-
-
-def _family_analytic(family: str, param, dim: int | None, measure: str) -> float:
-    if family == "werner2":
-        aff, hs = werner_two_qubit_discords(float(param))
-    elif family == "belldiag":
-        c1, c2, c3 = (float(c) for c in param)
-        aff = bell_diagonal_discord(c1, c2, c3)
-        hs = bell_diagonal_hs_discord(c1, c2, c3)
-    elif family == "werner":
-        aff, hs = werner_general_discords(int(dim), float(param))
-    elif family == "isotropic":
-        aff, hs = isotropic_discords(int(dim), float(param))
-    else:
-        raise UnknownFamilyError(f"unknown family {family!r}")
-    return aff if measure == "affinity" else hs
+        return werner_general(m, x), lambda: werner_general_discords(m, x)
+    return isotropic(m, x), lambda: isotropic_discords(m, x)
 
 
 def sweep(
@@ -194,9 +184,9 @@ def sweep(
         raise OutOfRangeError(f"family {family!r} needs an explicit dimension")
     rows: list[SweepRow] = []
     for param in params:
-        state = _family_state(family, param, dim)
+        state, oracle = _family_point(family, param, dim)
         for measure in measures:
-            analytic = _family_analytic(family, param, dim, measure)
+            analytic = oracle()[MEASURES.index(measure)]
             run = optimize_affinity_discord if measure == "affinity" else optimize_hs_discord
             optimized = run(state, budget=budget, seed=seed).value
             gap = abs(analytic - optimized)

@@ -67,12 +67,19 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     w, v = hermitian_eig(m)
     if w.size and w[0] < -PSD_EPSILON:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{PSD_EPSILON:.1e}")
+    return (v * np.sqrt(snap_spectrum(w))) @ v.conj().T
+
+
+def snap_spectrum(w) -> np.ndarray:
+    """Eigenvalues clipped at zero, with those below ``size * eps * max`` set to zero.
+
+    Eigenvalues at relative round-off level are numerical zeros; a square root
+    would amplify them to sqrt(eps)-sized artifacts.
+    """
     w = np.clip(w, 0.0, None)
     if w.size:
-        # eigenvalues at relative round-off level are numerical zeros; the
-        # square root would amplify them to sqrt(eps)-sized artifacts
-        w[w < w[-1] * w.size * np.finfo(np.float64).eps] = 0.0
-    return (v * np.sqrt(w)) @ v.conj().T
+        w[w < np.max(w) * w.size * np.finfo(np.float64).eps] = 0.0
+    return w
 
 
 def kron(a, b) -> np.ndarray:

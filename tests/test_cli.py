@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import os
 import re
@@ -11,11 +12,14 @@ import numpy as np
 import pytest
 
 from affinity_discord.cli import build_parser, main
-from affinity_discord.families import werner_general_discords
+from affinity_discord.correlation import closed_form_2xn
+from affinity_discord.families import sweep, werner_general_discords
 from affinity_discord.states import (
     bell_state,
+    load_state,
     product_state,
     random_density,
+    random_pure_state,
     random_state,
     save_state,
     state_to_json,
@@ -23,6 +27,15 @@ from affinity_discord.states import (
     werner_general,
     werner_two_qubit,
 )
+from affinity_discord.verification import DEFAULT_CHECK_TOLERANCES
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+
+def _src_env():
+    src = str(ROOT / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(capsys, *argv):
@@ -70,6 +83,25 @@ def test_compute_mixed_state_uses_closed_2xn(tmp_path, capsys):
     assert report["measures"]["remedied"]["value"] == pytest.approx(
         report["measures"]["affinity"]["value"], abs=1e-5
     )
+
+
+@pytest.mark.parametrize("dim_b", [2, 32])
+def test_compute_nearly_pure_state_takes_the_2xn_closed_form(tmp_path, capsys, dim_b):
+    # the purity stays above 1 - 1e-8, the prefilter, but the admixed
+    # eigenvalues survive the square root's snap: the Schmidt route would miss
+    # by ~1e-5
+    rho = random_pure_state(2, dim_b, seed=3).to_density().rho
+    mixed = (1.0 - 4e-9) * rho + 4e-9 * np.eye(2 * dim_b) / (2 * dim_b)
+    path = tmp_path / "nearly_pure.json"
+    save_state(validate(mixed, 2, dim_b), path)
+    code, out, err = run_cli(capsys, "compute", "--state", str(path))
+    assert code == 0, err
+    report = json.loads(out)
+    entry = report["measures"]["affinity"]
+    assert entry["method"] == "closed-2xn"
+    assert report["diagnostics"]["schmidt_spectrum"] is None
+    exact = closed_form_2xn(load_state(path)).value
+    assert abs(entry["value"] - exact) < DEFAULT_CHECK_TOLERANCES["lu_closed"]
 
 
 def test_compute_product_state_is_zero(tmp_path, capsys):
@@ -175,6 +207,26 @@ def test_sweep_bad_grid_exits_2(capsys):
     assert code == 2
 
 
+def test_sweep_json_rows_are_the_library_rows(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--family", "isotropic", "--dim", "3", "--from", "0", "--to", "1",
+        "--steps", "3", "--format", "json", "--seed", "4",
+    )
+    assert code == 0, err
+    rows = sweep("isotropic", np.linspace(0.0, 1.0, 3), dim=3, seed=4)
+    assert json.loads(out) == [dataclasses.asdict(row) for row in rows]
+
+
+def test_sweep_without_dim_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", "werner", "--from", "0", "--to", "1", "--steps", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "OutOfRangeError"
+
+
 def test_sweep_deterministic(capsys):
     args = [
         "sweep", "--family", "werner2", "--from", "0", "--to", "1",
@@ -223,10 +275,11 @@ _SWEEP_ARGV = ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--st
         (_COMPUTE_ARGV, ["--strategy", "hybrid"]),
         (_SWEEP_ARGV, ["--strategy", "hybrid"]),
         (["verify"], ["--strategy", "hybrid"]),
+        (_COMPUTE_ARGV, ["--format", "json"]),
     ],
     ids=[
         "compute-tol-key", "sweep-tol-key", "verify-budget",
-        "compute-strategy", "sweep-strategy", "verify-strategy",
+        "compute-strategy", "sweep-strategy", "verify-strategy", "compute-format",
     ],
 )
 def test_unused_flag_exits_2(argv, flag, capsys):
@@ -249,8 +302,7 @@ def test_compute_budget_below_one_exits_2(tmp_path, capsys):
 
 
 def _readme_cli_lines():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
     lines = [line.split("#")[0].split() for block in blocks for line in block.splitlines()]
     return [words[1:] for words in lines if words[:1] == ["affinity-discord"]]
 
@@ -260,6 +312,14 @@ def test_readme_cli_lines_parse(argv):
     build_parser().parse_args(argv)
 
 
+def test_readme_quick_start_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    proc = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_unknown_check_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "--checks", "nonsense")
     assert code == 2
@@ -267,11 +327,9 @@ def test_verify_unknown_check_exits_2(capsys):
 
 @pytest.mark.parametrize("module", ["affinity_discord.cli", "affinity_discord"])
 def test_python_dash_m_runs_the_cli(module):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", module, "verify", "--checks", "numerical_substrate", "--seed", "7"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip())["passed"] is True
@@ -296,10 +354,8 @@ print(json.dumps({
 
 
 def test_scipy_optimize_loads_only_for_the_grid():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=_src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)

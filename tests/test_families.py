@@ -20,6 +20,7 @@ from affinity_discord.families import (
     werner_two_qubit_discords,
 )
 from affinity_discord.states import bell_diagonal
+from affinity_discord.verification import DEFAULT_CHECK_TOLERANCES
 
 
 def random_bell_triple(rng):
@@ -219,6 +220,15 @@ def test_sweep_structure_and_gaps():
     assert [r.measure for r in rows[:2]] == ["affinity", "hs"]
     for row in rows:
         assert row.gap is not None and row.gap < 1e-5
+    # the m x m families: each row's analytic column is its oracle's value
+    m3_families = (("werner", werner_general_discords, -1.0), ("isotropic", isotropic_discords, 0.0))
+    for family, oracle, lo in m3_families:
+        params = np.linspace(lo, 1.0, 4)
+        rows = sweep(family, params, dim=3, seed=0)
+        assert len(rows) == 8
+        for k, row in enumerate(rows):
+            assert row.analytic == oracle(3, float(params[k // 2]))[k % 2]
+            assert row.gap < DEFAULT_CHECK_TOLERANCES["fig1_optimized"]
 
 
 def test_sweep_belldiag_triples():
