@@ -18,8 +18,8 @@ from .correlation import closed_form_2xn, lower_bound
 from .errors import UnsupportedDimensionError, ValidationError
 from .families import MEASURES, sweep, sweep_to_csv
 from .measures import (
+    BUDGET_DEFAULT,
     MULTISTART_DEFAULT,
-    PAIR_STEPS_PER_START,
     DiscordResult,
     optimize_affinity_discord,
     optimize_hs_discord,
@@ -41,13 +41,14 @@ EXIT_UNSUPPORTED = 3
 def _parse_overrides(pairs: list[str] | None) -> dict[str, float]:
     overrides: dict[str, float] = {}
     for pair in pairs or []:
-        if "=" not in pair:
-            raise ValidationError(f"tolerance override {pair!r} is not NAME=VALUE")
-        key, _, value = pair.partition("=")
+        key, eq, value = pair.partition("=")
         try:
-            overrides[key.strip()] = float(value)
-        except ValueError as exc:
-            raise ValidationError(f"tolerance override {pair!r}: {exc}") from exc
+            tol = float(value)
+        except ValueError:
+            tol = np.nan  # refused below, with every other bad value
+        if not (eq and 0.0 <= tol < np.inf):
+            raise ValidationError(f"--tol-key {pair!r} is not NAME=VALUE with 0 <= VALUE < inf")
+        overrides[key.strip()] = tol
     return overrides
 
 
@@ -217,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help=f"pair steps for dim_a >= 3, at least 1: budget // {PAIR_STEPS_PER_START} starts, "
-        f"at least one ({MULTISTART_DEFAULT} without it); a two-level A takes one exact pair "
-        "step whatever the budget",
+        help=f"cap on the pair steps of all starts, at least 1 (default {BUDGET_DEFAULT}): "
+        f"{MULTISTART_DEFAULT} starts run to convergence for dim_a >= 3, one start for dim_a <= 2",
     )
 
     p_compute = sub.add_parser(

@@ -172,16 +172,17 @@ def sweep(
 ) -> list[SweepRow]:
     """Tabulate analytic vs optimized discord over a parameter grid.
 
-    Rows are ordered by grid index then measure; for a fixed seed the output
-    is deterministic.
+    ``dim`` is m for werner and isotropic, and must be left out for the
+    two-qubit werner2 and belldiag. Rows are ordered by grid index then
+    measure; for a fixed seed the output is deterministic.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; choose from {FAMILIES}")
     for measure in measures:
         if measure not in MEASURES:
             raise UnknownFamilyError(f"unknown measure {measure!r}; choose from {MEASURES}")
-    if family in ("werner", "isotropic") and dim is None:
-        raise OutOfRangeError(f"family {family!r} needs an explicit dimension")
+    if (dim is None) == (family in ("werner", "isotropic")):
+        raise OutOfRangeError(f"family {family!r}: only werner and isotropic take dim, and need it")
     rows: list[SweepRow] = []
     for param in params:
         state, oracle = _family_point(family, param, dim)

@@ -16,12 +16,11 @@ For orthonormal kets (v_0, v_1) on A and O_s = sum_pq (sigma_s)_pq |v_p><v_q|
 in the unit Bloch vector n, with c0 = vec(O_0)^dagger K vec(O_0) and
 G_ij = Re vec(O_i)^dagger K vec(O_j). The optimizer runs Jacobi sweeps
 (Cardoso-Souloumiac, SIMAX 17(1), 1996) that rotate each pair of basis kets onto
-the top eigenvector of its G, from the marginal eigenbasis on A and then seeded
-random bases. A two-level A has one pair, so one step is the global optimum
-there and one start suffices. ``_maximize_grid`` evaluates the form on a
-Bloch-angle lattice for a two-level A and refines it with Nelder-Mead; it is an
-independent oracle for ``verify``, not a route of the optimizer, and the only
-user of scipy.
+the top eigenvector of its G, on all starts in lockstep, each until a sweep stops
+gaining. A two-level A has one pair, so one step is the global optimum there
+and one start suffices. ``_maximize_grid`` evaluates the form on a Bloch-angle
+lattice for a two-level A and refines it with Nelder-Mead; it is an independent
+oracle for ``verify``, not a route of the optimizer, and the only user of scipy.
 """
 
 from __future__ import annotations
@@ -46,7 +45,10 @@ GRID_THETA = 181
 GRID_PHI = 360
 GRID_REFINE = 500
 MULTISTART_DEFAULT = 64
-PAIR_STEPS_PER_START = 300
+BUDGET_DEFAULT = MULTISTART_DEFAULT * 20_000
+# T: rows vec(1), vec(sigma_x), vec(sigma_y), vec(sigma_z); then vec(X) -> vec(T^* X T^T)
+_PAULI_VEC = np.stack([np.eye(2), *linalg.PAULI]).reshape(4, 4)
+_PAULI_PAIR = np.kron(_PAULI_VEC.conj(), _PAULI_VEC).T
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ class DiscordResult:
     ``method`` is one of closed-pure, closed-2xn, bound, optimized-local.
     closed-2xn carries the Bloch direction in ``parameters``; optimized-local
     comes from the Jacobi sweeps, for one- and two-level A too, with
-    ``evaluations`` counting pair steps.
+    ``evaluations`` counting the pair steps of all starts.
     """
 
     value: float
@@ -157,19 +159,25 @@ def _overlap_kernel(s: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     return r @ r.conj().T
 
 
-def _overlap(k: np.ndarray, vectors: np.ndarray) -> float:
-    """sum_k vec(P_k)^dagger K vec(P_k) for the kets v_k in the rows of ``vectors``."""
-    m = vectors.shape[-1]
-    q = (vectors[:, :, None] * vectors[:, None, :].conj()).reshape(-1, m * m)
-    return float(np.real(np.vdot(q, q @ k.T)))
+def _overlap(k: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """sum_k vec(P_k)^dagger K vec(P_k) for the kets v_k in the rows of ``vectors``, stackable."""
+    q = (vectors[..., :, None] * vectors[..., None, :].conj()).reshape(*vectors.shape[:-1], -1)
+    return np.real(np.einsum("...ij,...ij->...", q.conj(), q @ k.T))
 
 
-def _bloch_form(k: np.ndarray, kets: np.ndarray) -> tuple[float, np.ndarray]:
-    """(c0, G) for the pair of orthonormal rows ``kets``, in ``_overlap``'s row-major vec."""
-    paulis = np.stack([np.eye(2), *linalg.PAULI])
-    ops = np.einsum("spq,pa,qb->sab", paulis, kets, kets.conj()).reshape(4, -1)
-    form = np.real(ops.conj() @ k @ ops.T)
-    return float(form[0, 0]), form[1:, 1:]
+def _pair_forms(k: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c0, G) = Re T^* (W^dagger K W) T^T for each pair of orthonormal rows in ``pairs`` (s, 2, m).
+
+    W holds the kets v_p x conj(v_q), in ``_overlap``'s row-major vec.
+    """
+    s, _, m = pairs.shape
+    flat = pairs.reshape(s, 2 * m)
+    w = flat[:, :, None] * flat[:, None, :].conj()  # blocks v_p conj(v_q)^T
+    w = w.reshape(s, 2, m, 2, m).transpose(0, 1, 3, 2, 4).reshape(s, 4, m * m)
+    kw = (w.reshape(-1, m * m) @ k.T).reshape(s, 4, m * m)
+    gram = w.conj() @ kw.transpose(0, 2, 1)
+    form = np.real(gram.reshape(s, 16) @ _PAULI_PAIR).reshape(s, 4, 4)
+    return form[:, 0, 0], form[:, 1:, 1:]
 
 
 def _pinch(rho: np.ndarray, basis: MeasurementBasis, dim_b: int) -> np.ndarray:
@@ -229,7 +237,7 @@ def _functional_at(
             f"basis dimension {basis.dim} does not match dim_a={state.dim_a}"
         )
     k = _overlap_kernel(s, state.dim_a, state.dim_b)
-    return offset - _overlap(k, np.asarray(basis.vectors))
+    return offset - float(_overlap(k, np.asarray(basis.vectors)))
 
 
 def affinity_discord_at(state: BipartiteState, basis: MeasurementBasis) -> float:
@@ -269,7 +277,7 @@ def _maximize_grid(k: np.ndarray) -> float:
     """Best overlap of a two-level A: Bloch lattice plus Nelder-Mead on (c0 + n^T G n) / 2."""
     from scipy import optimize as sciopt
 
-    c0, g = _bloch_form(k, np.eye(2))
+    (c0,), (g,) = _pair_forms(k, np.eye(2)[None])
     thetas = np.linspace(0.0, np.pi, GRID_THETA)
     phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
     n = np.empty((GRID_THETA, GRID_PHI, 3))
@@ -299,64 +307,55 @@ def _maximize_grid(k: np.ndarray) -> float:
     return max(best_val, float(-res.fun))
 
 
-def _jacobi_sweeps(k: np.ndarray, vectors: np.ndarray) -> int:
-    """Rotate each pair of kets onto its Bloch-form optimum, in place; returns the steps."""
-    pairs = [[i, j] for i in range(len(vectors)) for j in range(i + 1, len(vectors))]
-    if not pairs:
-        return 0
-    gain = 0.0
-    for step in range(PAIR_STEPS_PER_START):
-        pair = pairs[step % len(pairs)]
-        _, g = _bloch_form(k, vectors[pair])
+def _maximize(
+    k: np.ndarray, dim_a: int, budget: int, seed, marginal: np.ndarray
+) -> tuple[float, MeasurementBasis, int]:
+    """Jacobi pair sweeps on all starts in lockstep; returns the best overlap, its basis, the steps.
+
+    Start 0 is the eigenbasis of ``marginal``, start j a random basis from child j
+    of the seed. Each iteration steps the same pair of every running start; a
+    start stops when a whole sweep gains less than OPTIMIZER_REL_IMPROVEMENT,
+    and all stop once ``budget`` pair steps are spent.
+    """
+    starts = [np.linalg.eigh(marginal)[1]]
+    if dim_a > 2:  # a two-level A has one pair, so its single start is exact
+        for child in _seed_sequence(seed).spawn(MULTISTART_DEFAULT)[1:]:
+            rng = np.random.default_rng(child)
+            g = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a))
+            starts.append(np.linalg.eigh((g + g.conj().T) / 2.0)[1])
+    vectors = np.stack(starts).transpose(0, 2, 1).copy()  # kets in rows
+    pairs = [[i, j] for i in range(dim_a) for j in range(i + 1, dim_a)]
+    active = np.arange(len(vectors) if pairs else 0)
+    gain = np.zeros(len(vectors))
+    steps = 0
+    sweep_step = 0
+    while active.size and steps < budget:
+        active = active[: budget - steps]  # the budget can run out within an iteration
+        pair = pairs[sweep_step]
+        kets = vectors[active[:, None], pair]
+        _, g = _pair_forms(k, kets)
         w, n = np.linalg.eigh(g)
         # the current pair is the Bloch vector (0, 0, 1)
-        gain += (w[-1] - g[2, 2]) / 2.0
-        vectors[pair] = MeasurementBasis.from_bloch_vector(n[:, -1]).vectors @ vectors[pair]
-        if (step + 1) % len(pairs) == 0:
-            if gain < OPTIMIZER_REL_IMPROVEMENT:
-                return step + 1
-            gain = 0.0
-    return PAIR_STEPS_PER_START
-
-
-def _maximize_multistart(
-    k: np.ndarray, dim_a: int, budget: int | None, seed, marginal: np.ndarray
-) -> tuple[float, MeasurementBasis, int]:
-    """Jacobi pair sweeps from the eigenbasis of ``marginal``, then from seeded random bases.
-
-    A two-level A has a single pair, whose step is the global optimum, and a
-    one-level A has none: one start.
-    """
-    if dim_a <= 2:
-        starts = 1
-    elif budget is None:
-        starts = MULTISTART_DEFAULT
-    else:
-        starts = max(1, budget // PAIR_STEPS_PER_START)
-    seeds = _seed_sequence(seed).spawn(starts)
-    best_val = -np.inf
-    best_vectors = None
-    steps = 0
-    for j in range(starts):
-        rng = np.random.default_rng(seeds[j])
-        if j == 0:
-            _, u0 = np.linalg.eigh(marginal)
-        else:
-            g = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a))
-            _, u0 = np.linalg.eigh((g + g.conj().T) / 2.0)
-        vectors = u0.T.copy()
-        steps += _jacobi_sweeps(k, vectors)
-        value = _overlap(k, vectors)
-        if value > best_val:
-            best_val, best_vectors = value, vectors
-    return best_val, MeasurementBasis(dim_a, best_vectors), steps
+        gain[active] += (w[:, -1] - g[:, 2, 2]) / 2.0
+        # rows (+n, -n) of n.sigma's eigenvectors, the +n ket first
+        _, u = np.linalg.eigh((n[:, :, -1] @ _PAULI_VEC[1:]).reshape(-1, 2, 2))
+        vectors[active[:, None], pair] = u[:, :, ::-1].transpose(0, 2, 1) @ kets
+        steps += active.size
+        sweep_step = (sweep_step + 1) % len(pairs)
+        if sweep_step == 0:
+            active = active[gain[active] >= OPTIMIZER_REL_IMPROVEMENT]
+            gain[:] = 0.0
+    values = _overlap(k, vectors)
+    best = int(np.argmax(values))
+    return float(values[best]), MeasurementBasis(dim_a, vectors[best]), steps
 
 
 def _optimize(
     state: BipartiteState, s: np.ndarray, offset: float, budget: int | None, seed
 ) -> DiscordResult:
     """Minimize ``offset - overlap`` over projective bases on A, with K built from S."""
-    if budget is not None and budget < 1:
+    budget = BUDGET_DEFAULT if budget is None else budget
+    if budget < 1:
         raise OutOfRangeError(f"budget must be at least 1, got {budget}")
     dim_a = state.dim_a
     if dim_a > MAX_OPT_DIM:
@@ -364,7 +363,7 @@ def _optimize(
             f"optimization supports dim_a <= {MAX_OPT_DIM}, got {dim_a}"
         )
     k = _overlap_kernel(s, dim_a, state.dim_b)
-    best, basis, evals = _maximize_multistart(k, dim_a, budget, seed, state.marginal("a"))
+    best, basis, evals = _maximize(k, dim_a, budget, seed, state.marginal("a"))
     return DiscordResult(offset - best, "optimized-local", basis, evaluations=evals)
 
 
@@ -373,12 +372,11 @@ def optimize_affinity_discord(
 ) -> DiscordResult:
     """Minimize the affinity discord functional over projective bases on A.
 
-    Jacobi pair sweeps, the first start from the eigenbasis of the marginal on A
-    and the rest from seeded random bases, each start ending when a sweep gains
-    less than OPTIMIZER_REL_IMPROVEMENT or after 300 pair steps. A two-level A
-    takes one start, whose single pair step is the exact optimum (evaluations
-    <= 2). ``budget`` (at least 1) gives ``budget // 300`` starts, at least one
-    (default 64), for dim_a >= 3; identical seeds give identical results.
+    Jacobi pair sweeps from the marginal eigenbasis on A and, for dim_a >= 3,
+    63 seeded random bases, each start until a whole sweep gains less than
+    OPTIMIZER_REL_IMPROVEMENT (a two-level A's single pair step is exact).
+    ``budget`` (at least 1, default BUDGET_DEFAULT) caps the pair steps of all
+    starts, which ``evaluations`` counts; identical seeds give identical results.
     """
     return _optimize(state, state.sqrt(), 1.0, budget, seed)
 

@@ -135,14 +135,14 @@ def check_pure_state_formula(seed, tols) -> CheckResult:
         psi = random_pure_state(dim_a, dim_b, next(children))
         expected = 1.0 - float(np.sum(schmidt_spectrum(psi) ** 2))
         state = psi.to_density()
-        opt = optimize_affinity_discord(state, budget=4800, seed=next(children))
+        opt = optimize_affinity_discord(state, seed=next(children))
         gap_opt = max(gap_opt, abs(opt.value - expected))
         if dim_a == 2:
             gap_closed = max(gap_closed, abs(closed_form_2xn(state).value - expected))
     gap_maxent = 0.0
     for m in (2, 3):
         state = maximally_entangled(m).to_density()
-        opt = optimize_affinity_discord(state, budget=4800, seed=next(children))
+        opt = optimize_affinity_discord(state, seed=next(children))
         gap_maxent = max(gap_maxent, abs(opt.value - (m - 1.0) / m))
     gaps = {
         "pure_optimized": gap_opt,
@@ -241,7 +241,7 @@ def check_zero_discord_classes(seed, tols) -> CheckResult:
 def _auto_affinity_value(state: BipartiteState, seed) -> float:
     if state.dim_a == 2:
         return closed_form_2xn(state).value
-    return optimize_affinity_discord(state, budget=3000, seed=seed).value
+    return optimize_affinity_discord(state, seed=seed).value
 
 
 def check_local_unitary_invariance(seed, tols) -> CheckResult:

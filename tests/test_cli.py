@@ -227,6 +227,16 @@ def test_sweep_without_dim_exits_2(capsys):
     assert json.loads(err)["error"] == "OutOfRangeError"
 
 
+def test_sweep_two_qubit_family_with_dim_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--family", "werner2", "--dim", "5", "--from", "0", "--to", "1", "--steps", "2",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "OutOfRangeError"
+
+
 def test_sweep_deterministic(capsys):
     args = [
         "sweep", "--family", "werner2", "--from", "0", "--to", "1",
@@ -262,6 +272,17 @@ def test_verify_injected_tolerance_fails(capsys):
     assert json.loads(out.strip())["passed"] is False
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_verify_tolerance_must_be_finite_and_nonnegative(value, capsys):
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--checks", "family_zeros_asymptotics", "--tol-key", f"family_zero={value}",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"
+
+
 _COMPUTE_ARGV = ["compute", "--state", "state.json"]
 _SWEEP_ARGV = ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--steps", "2"]
 
@@ -288,6 +309,17 @@ def test_unused_flag_exits_2(argv, flag, capsys):
         main(argv + flag)
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+def test_compute_huge_budget_runs(tmp_path, capsys):
+    # the budget caps pair steps; it sets no number of starts to allocate
+    path = tmp_path / "state.json"
+    save_state(random_state(3, 2, seed=3), path)
+    code, out, err = run_cli(
+        capsys, "compute", "--state", str(path), "--method", "optimize", "--budget", str(10**15)
+    )
+    assert code == 0, err
+    assert json.loads(out)["measures"]["affinity"]["method"] == "optimized-local"
 
 
 def test_compute_budget_below_one_exits_2(tmp_path, capsys):
@@ -338,6 +370,7 @@ def test_python_dash_m_runs_the_cli(module):
 _SCIPY_PROBE = """
 import json, sys
 import affinity_discord.cli
+scipy_at_import = sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
 from affinity_discord import closed_form_2xn, sweep, werner_two_qubit
 from affinity_discord.measures import _maximize_grid, _overlap_kernel
 rows = sweep("werner2", [0.5])
@@ -345,6 +378,7 @@ loaded = "scipy.optimize" in sys.modules
 state = werner_two_qubit(0.5)
 value = 1.0 - _maximize_grid(_overlap_kernel(state.sqrt(), 2, 2))
 print(json.dumps({
+    "scipy_at_import": scipy_at_import,
     "loaded_after_sweep": loaded,
     "sweep_gap": max(row.gap for row in rows),
     "grid_gap": abs(value - closed_form_2xn(state).value),
@@ -359,6 +393,7 @@ def test_scipy_optimize_loads_only_for_the_grid():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
+    assert report["scipy_at_import"] == []
     assert report["loaded_after_sweep"] is False
     assert report["sweep_gap"] < 1e-12
     assert report["grid_gap"] < 1e-9

@@ -247,6 +247,14 @@ def test_sweep_unknown_family_and_missing_dim():
         sweep("werner", [0.1])
 
 
+@pytest.mark.parametrize(
+    "family, param", [("werner2", 0.5), ("belldiag", (0.1, 0.2, 0.3))]
+)
+def test_sweep_two_qubit_family_rejects_dim(family, param):
+    with pytest.raises(OutOfRangeError):
+        sweep(family, [param], dim=7)
+
+
 def test_sweep_csv_format():
     rows = sweep("werner2", [0.0, 1.0], measures=("affinity",))
     text = sweep_to_csv(rows)

@@ -261,7 +261,7 @@ def test_qubit_overlap_is_the_bloch_form(dim_b, data):
     pair = linalg.haar_unitary(dim_a, seed)[:2]
     cases.append((measures._overlap_kernel(large.sqrt(), dim_a, dim_b), pair))
     for k, kets in cases:
-        c0, g = measures._bloch_form(k, kets)
+        (c0,), (g,) = measures._pair_forms(k, kets[None])
         got = measures._overlap(k, basis.vectors @ kets)
         assert abs((c0 + n @ g @ n) / 2.0 - got) < 1e-12
 
@@ -418,9 +418,53 @@ def test_multistart_matches_pure_formula(m):
     # optimum; starting from the computational basis makes the search do the work
     psi = random_pure_state(m, 2, seed=210 + m)
     k = measures._overlap_kernel(psi.to_density().sqrt(), m, 2)
-    best, _, _ = measures._maximize_multistart(k, m, None, m, np.eye(m, dtype=complex))
+    best, _, _ = measures._maximize(k, m, measures.BUDGET_DEFAULT, m, np.eye(m, dtype=complex))
     expected = pure_discord(psi).value
     assert abs(1.0 - best - expected) < DEFAULT_CHECK_TOLERANCES["pure_optimized"]
+
+
+@pytest.fixture(scope="module")
+def optimum_8x3():
+    state = random_state(8, 3, seed=0)
+    return state, optimize_affinity_discord(state)
+
+
+def test_default_optimum_at_m8_is_converged(optimum_8x3):
+    # the converged optimum is 0.1777489607; starts cut off after 300 pair steps read 0.17776
+    _, res = optimum_8x3
+    assert res.value < 0.17775
+    assert res.evaluations <= measures.BUDGET_DEFAULT
+
+
+def _einsum_bloch_form(k, kets):
+    # (c0, G) for one orthonormal pair, from the pair's Pauli operators O_s
+    paulis = np.stack([np.eye(2), *linalg.PAULI])
+    ops = np.einsum("spq,pa,qb->sab", paulis, kets, kets.conj()).reshape(4, -1)
+    form = np.real(ops.conj() @ k @ ops.T)
+    return form[0, 0], form[1:, 1:]
+
+
+def test_default_optimum_at_m8_is_pairwise_stationary(optimum_8x3):
+    # no pair of kets can gain more than 1e-9 by its own exact rotation
+    state, res = optimum_8x3
+    k = measures._overlap_kernel(state.sqrt(), 8, 3)
+    vectors = res.optimal_measurement.vectors
+    worst = 0.0
+    for i in range(8):
+        for j in range(i + 1, 8):
+            _, g = _einsum_bloch_form(k, vectors[[i, j]])
+            worst = max(worst, (np.linalg.eigvalsh(g)[-1] - g[2, 2]) / 2.0)
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("budget", [1, 63, 64, 100, 1000])
+def test_budget_caps_the_pair_steps_of_all_starts(budget):
+    state = random_state(5, 2, seed=98)
+    res = optimize_affinity_discord(state, budget=budget, seed=3)
+    assert res.evaluations == budget
+    again = optimize_affinity_discord(state, budget=budget, seed=3)
+    assert again.value == res.value
+    assert res.value >= optimize_affinity_discord(state, seed=3).value - 1e-12
 
 
 def test_optimize_rejects_large_dimension():
