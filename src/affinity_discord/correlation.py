@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError, WrongDimensionError
-from .measures import DiscordResult, MeasurementBasis
+from .measures import DiscordResult, MeasurementBasis, _qubit_kets
 from .states import BipartiteState
 from .tolerances import GAMMA_IMAG
 
@@ -105,5 +105,5 @@ def closed_form_2xn(state: BipartiteState) -> DiscordResult:
         raise WrongDimensionError(f"closed form requires dim_a = 2, got {state.dim_a}")
     value, vecs = _traceless_spectrum(state)
     direction = vecs[:, -1]
-    basis = MeasurementBasis.from_bloch_vector(direction)
+    basis = MeasurementBasis(2, _qubit_kets(direction))
     return DiscordResult(value, "closed-2xn", basis, parameters=direction, evaluations=0)

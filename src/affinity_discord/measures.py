@@ -17,15 +17,18 @@ in the unit Bloch vector n, with c0 = vec(O_0)^dagger K vec(O_0) and
 G_ij = Re vec(O_i)^dagger K vec(O_j). The optimizer runs Jacobi sweeps
 (Cardoso-Souloumiac, SIMAX 17(1), 1996) that rotate each pair of basis kets onto
 the top eigenvector of its G, on all starts in lockstep, each until a sweep stops
-gaining. A two-level A has one pair, so one step is the global optimum there
-and one start suffices. ``_maximize_grid`` evaluates the form on a Bloch-angle
-lattice for a two-level A and refines it with Nelder-Mead; it is an independent
-oracle for ``verify``, not a route of the optimizer, and the only user of scipy.
+gaining. Every qubit rotation, in a pair step or in the two-level closed form,
+takes its kets from one batched eigh of n.sigma (``_qubit_kets``). The random
+starts are eigenbases of Hermitian matrices from one ``default_rng(seed)`` draw;
+the seed (an int or a SeedSequence) is read, never advanced. A two-level A has
+one pair, so one step is the global optimum there and one start suffices.
+``_maximize_grid`` evaluates the form on a Bloch-angle lattice for a two-level A
+and refines it with Nelder-Mead; it is an independent oracle for ``verify``, not
+a route of the optimizer, and the only user of scipy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +40,7 @@ from .errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from .states import BipartiteState, PureState, append_ancilla, schmidt_spectrum
+from .states import BipartiteState, PureState, append_ancilla
 from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 
 MAX_OPT_DIM = 8
@@ -91,34 +94,6 @@ class MeasurementBasis:
         basis = cls(mat.shape[0], mat.T.copy())
         basis.check()
         return basis
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "MeasurementBasis":
-        """Qubit basis along the Bloch direction (theta, phi)."""
-        c, s, e = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
-        return cls(2, np.array([[c, s * e], [s, -c * e]]))
-
-    @classmethod
-    def from_bloch_vector(cls, r) -> "MeasurementBasis":
-        """Qubit basis (1 +/- r.sigma)/2 for a unit Bloch vector r."""
-        vec = np.asarray(r, dtype=np.float64).ravel()
-        if vec.shape != (3,):
-            raise DimensionMismatchError("Bloch vector must have 3 components")
-        norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
-            raise OutOfRangeError("Bloch vector must be nonzero")
-        x, y, z = (vec / norm).tolist()
-        z = min(1.0, max(-1.0, z))
-        c, s = math.sqrt((1.0 + z) / 2.0), math.sqrt((1.0 - z) / 2.0)  # cos, sin of theta/2
-        # e = exp(i phi) for phi = arctan2(y, x): scaled first, so that subnormal x, y
-        # keep their ratio, and +-1 at a pole by the sign of x's zero, as arctan2 reads it
-        big = max(abs(x), abs(y))
-        if big > 0.0:
-            x, y = x / big, y / big
-            e = complex(x, y) / math.hypot(x, y)
-        else:
-            e = math.copysign(1.0, x)
-        return cls(2, np.array([[c, s * e], [s, -c * e]]))
 
 
 @dataclass(frozen=True)
@@ -178,6 +153,12 @@ def _pair_forms(k: np.ndarray, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     gram = w.conj() @ kw.transpose(0, 2, 1)
     form = np.real(gram.reshape(s, 16) @ _PAULI_PAIR).reshape(s, 4, 4)
     return form[:, 0, 0], form[:, 1:, 1:]
+
+
+def _qubit_kets(n: np.ndarray) -> np.ndarray:
+    """Kets of (1 +/- n.sigma)/2 as rows, the +n ket first, for unit Bloch vectors n (..., 3)."""
+    _, u = np.linalg.eigh((n @ _PAULI_VEC[1:]).reshape(*n.shape[:-1], 2, 2))
+    return u[..., ::-1].swapaxes(-1, -2)
 
 
 def _pinch(rho: np.ndarray, basis: MeasurementBasis, dim_b: int) -> np.ndarray:
@@ -256,21 +237,14 @@ def hs_discord_at(state: BipartiteState, basis: MeasurementBasis) -> float:
 
 
 def pure_discord(psi: PureState) -> DiscordResult:
-    """Closed form for pure states: 1 - sum_k s_k^2 over the Schmidt spectrum."""
-    s = schmidt_spectrum(psi)
-    value = 1.0 - float(np.sum(s**2))
-    u, _, _ = np.linalg.svd(psi.amplitudes.reshape(psi.dim_a, psi.dim_b))
+    """Closed form for pure states: 1 - sum_k s_k^2 over the Schmidt spectrum s_k = sv_k^2."""
+    u, sv, _ = np.linalg.svd(psi.amplitudes.reshape(psi.dim_a, psi.dim_b))
+    value = 1.0 - float(np.sum(sv**4))
     basis = MeasurementBasis.from_unitary(u)
     return DiscordResult(value, "closed-pure", basis, parameters=None, evaluations=0)
 
 
 # --- optimization over projective measurements --------------------------------
-
-
-def _seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 def _maximize_grid(k: np.ndarray) -> float:
@@ -312,18 +286,20 @@ def _maximize(
 ) -> tuple[float, MeasurementBasis, int]:
     """Jacobi pair sweeps on all starts in lockstep; returns the best overlap, its basis, the steps.
 
-    Start 0 is the eigenbasis of ``marginal``, start j a random basis from child j
-    of the seed. Each iteration steps the same pair of every running start; a
-    start stops when a whole sweep gains less than OPTIMIZER_REL_IMPROVEMENT,
-    and all stop once ``budget`` pair steps are spent.
+    Start 0 is the eigenbasis of ``marginal``; for dim_a >= 3, starts 1..63 are the
+    eigenbases of 63 Hermitian matrices from one ``default_rng(seed)`` draw, so an
+    int or a SeedSequence seed gives the same starts on every call and is never
+    advanced. Each iteration steps the same pair of every running start, rotating
+    it onto the kets of ``_qubit_kets``; a start stops when a whole sweep gains
+    less than OPTIMIZER_REL_IMPROVEMENT, and all stop once ``budget`` pair steps
+    are spent.
     """
-    starts = [np.linalg.eigh(marginal)[1]]
+    starts = np.linalg.eigh(marginal)[1][None]
     if dim_a > 2:  # a two-level A has one pair, so its single start is exact
-        for child in _seed_sequence(seed).spawn(MULTISTART_DEFAULT)[1:]:
-            rng = np.random.default_rng(child)
-            g = rng.standard_normal((dim_a, dim_a)) + 1j * rng.standard_normal((dim_a, dim_a))
-            starts.append(np.linalg.eigh((g + g.conj().T) / 2.0)[1])
-    vectors = np.stack(starts).transpose(0, 2, 1).copy()  # kets in rows
+        z = np.random.default_rng(seed).standard_normal((2, MULTISTART_DEFAULT - 1, dim_a, dim_a))
+        g = z[0] + 1j * z[1]
+        starts = np.concatenate([starts, np.linalg.eigh((g + g.conj().swapaxes(1, 2)) / 2.0)[1]])
+    vectors = starts.transpose(0, 2, 1).copy()  # kets in rows
     pairs = [[i, j] for i in range(dim_a) for j in range(i + 1, dim_a)]
     active = np.arange(len(vectors) if pairs else 0)
     gain = np.zeros(len(vectors))
@@ -337,9 +313,7 @@ def _maximize(
         w, n = np.linalg.eigh(g)
         # the current pair is the Bloch vector (0, 0, 1)
         gain[active] += (w[:, -1] - g[:, 2, 2]) / 2.0
-        # rows (+n, -n) of n.sigma's eigenvectors, the +n ket first
-        _, u = np.linalg.eigh((n[:, :, -1] @ _PAULI_VEC[1:]).reshape(-1, 2, 2))
-        vectors[active[:, None], pair] = u[:, :, ::-1].transpose(0, 2, 1) @ kets
+        vectors[active[:, None], pair] = _qubit_kets(n[:, :, -1]) @ kets
         steps += active.size
         sweep_step = (sweep_step + 1) % len(pairs)
         if sweep_step == 0:
@@ -373,10 +347,12 @@ def optimize_affinity_discord(
     """Minimize the affinity discord functional over projective bases on A.
 
     Jacobi pair sweeps from the marginal eigenbasis on A and, for dim_a >= 3,
-    63 seeded random bases, each start until a whole sweep gains less than
+    63 random bases, each start until a whole sweep gains less than
     OPTIMIZER_REL_IMPROVEMENT (a two-level A's single pair step is exact).
-    ``budget`` (at least 1, default BUDGET_DEFAULT) caps the pair steps of all
-    starts, which ``evaluations`` counts; identical seeds give identical results.
+    ``seed`` is an int or a SeedSequence; the random bases come from one
+    ``np.random.default_rng(seed)`` draw, which leaves a SeedSequence as it was,
+    so identical seeds give identical results. ``budget`` (at least 1, default
+    BUDGET_DEFAULT) caps the pair steps of all starts, which ``evaluations`` counts.
     """
     return _optimize(state, state.sqrt(), 1.0, budget, seed)
 

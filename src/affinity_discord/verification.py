@@ -4,7 +4,8 @@ Each check compares independently derived values (analytic family formulas,
 Schmidt spectra, brute-force optimization) against the library's primary
 code paths and reports the worst observed gap. The same checks back the
 ``verify`` CLI command and the acceptance test suite. All randomness
-derives from a single seed; a fixed seed gives identical results.
+derives from a single seed: each check draws its streams by spawning from the
+SeedSequence child it is handed, so a fixed seed gives identical results.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .families import (
 from .measures import (
     _maximize_grid,
     _overlap_kernel,
-    _seed_sequence,
     affinity,
     ancilla_behavior_report,
     optimize_affinity_discord,
@@ -127,8 +127,7 @@ def check_fig1_werner_sweep(seed, tols) -> CheckResult:
 
 def check_pure_state_formula(seed, tols) -> CheckResult:
     """Optimized discord of pure states equals 1 - sum s_k^2."""
-    ss = _seed_sequence(seed)
-    children = iter(ss.spawn(70))
+    children = iter(seed.spawn(70))
     gap_opt = 0.0
     gap_closed = 0.0
     for dim_a, dim_b in [(2, 2)] * 10 + [(2, 3)] * 10 + [(3, 3)] * 10:
@@ -154,8 +153,7 @@ def check_pure_state_formula(seed, tols) -> CheckResult:
 
 def check_closed_vs_optimizer(seed, tols) -> CheckResult:
     """Exact two-level closed form matches the Bloch-lattice oracle, not the pair step."""
-    ss = _seed_sequence(seed)
-    children = iter(ss.spawn(100))
+    children = iter(seed.spawn(100))
     gap = 0.0
     for i in range(50):
         state = random_state(2, 2, rank=(i % 4) + 1, seed=next(children))
@@ -173,8 +171,7 @@ def check_bound_dominance(seed, tols) -> CheckResult:
     reads 0 and ``bound_slack`` reads how far the optimizer lands below the exact
     value, which is round-off.
     """
-    ss = _seed_sequence(seed)
-    children = iter(ss.spawn(150))
+    children = iter(seed.spawn(150))
     over_opt = -np.inf
     over_closed = -np.inf
     for i in range(50):
@@ -200,8 +197,7 @@ def check_ancilla_invariance(seed, tols) -> CheckResult:
         "maximally-mixed": np.eye(2, dtype=complex) / 2.0,
         "diag(0.9,0.1)": np.diag([0.9, 0.1]).astype(complex),
     }
-    ss = _seed_sequence(seed)
-    children = iter(ss.spawn(20))
+    children = iter(seed.spawn(20))
     gap_aff = 0.0
     gap_hs = 0.0
     for p in (0.3, 0.7, 1.0):
@@ -219,8 +215,7 @@ def check_ancilla_invariance(seed, tols) -> CheckResult:
 
 def check_zero_discord_classes(seed, tols) -> CheckResult:
     """Classical-quantum and product states report (near) zero affinity discord."""
-    ss = _seed_sequence(seed)
-    children = iter(ss.spawn(100))
+    children = iter(seed.spawn(100))
     worst = 0.0
     for i in range(10):
         dim_a = 2 if i < 7 else 3
@@ -246,8 +241,7 @@ def _auto_affinity_value(state: BipartiteState, seed) -> float:
 
 def check_local_unitary_invariance(seed, tols) -> CheckResult:
     """Discord is unchanged by local unitaries on either party."""
-    ss = _seed_sequence(seed)
-    children = iter(ss.spawn(120))
+    children = iter(seed.spawn(120))
     gap_closed = 0.0
     gap_opt = 0.0
     for i in range(20):
@@ -292,8 +286,7 @@ def check_family_zeros_asymptotics(seed, tols) -> CheckResult:
 
 def check_m3_family_optimization(seed, tols) -> CheckResult:
     """Multistart optimizer reproduces the analytic m=3 Werner and isotropic values."""
-    ss = _seed_sequence(seed)
-    children = iter(ss.spawn(30))
+    children = iter(seed.spawn(30))
     rng = np.random.default_rng(next(children))
     gap = 0.0
     for x in rng.uniform(-1.0, 1.0, 5):
@@ -311,8 +304,7 @@ def check_m3_family_optimization(seed, tols) -> CheckResult:
 
 def check_numerical_substrate(seed, tols) -> CheckResult:
     """Square-root residuals, expansion completeness, and affinity symmetry."""
-    ss = _seed_sequence(seed)
-    children = iter(ss.spawn(80))
+    children = iter(seed.spawn(80))
     gap_sqrt = 0.0
     gap_parseval = 0.0
     states = []

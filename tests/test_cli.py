@@ -136,6 +136,17 @@ def test_compute_bound_method(tmp_path, capsys):
     assert entry["value"] <= entry["bound_clamped"] + 1e-12
 
 
+@pytest.mark.parametrize("dim_b,has_bound", [(32, True), (33, False)])
+def test_compute_reports_the_bound_up_to_dimension_64(tmp_path, capsys, dim_b, has_bound):
+    path = tmp_path / "state.json"
+    save_state(random_state(2, dim_b, rank=2, seed=dim_b), path)
+    code, out, _ = run_cli(capsys, "compute", "--state", str(path))
+    assert code == 0
+    entry = json.loads(out)["measures"]["affinity"]
+    assert entry["method"] == "closed-2xn"
+    assert ("bound" in entry) == ("bound_clamped" in entry) == has_bound
+
+
 def test_compute_invalid_state_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"dim_a": 2, "dim_b": 2, "matrix": "nope"}')

@@ -179,6 +179,30 @@ def test_closed_form_bell_state():
     result.optimal_measurement.check()
 
 
+def _closed_form_states():
+    rng = np.random.default_rng(66)
+    states = {}
+    for dim_b in (1, 2, 3):
+        # diagonal states: the optimal direction is a pole, +-z with signed zeros
+        states[f"diag-2x{dim_b}"] = validate(np.diag(rng.dirichlet(np.ones(2 * dim_b))), 2, dim_b)
+    for i in range(12):
+        dim_b = 2 + i % 3
+        rank = 1 + i % (2 * dim_b)
+        states[f"random-2x{dim_b}-rank{rank}-{i}"] = random_state(2, dim_b, rank=rank, seed=rng)
+    return states
+
+
+_CLOSED_FORM_STATES = _closed_form_states()
+
+
+@pytest.mark.parametrize("name", _CLOSED_FORM_STATES)
+def test_closed_form_measurement_attains_its_value(name):
+    state = _CLOSED_FORM_STATES[name]
+    closed = closed_form_2xn(state)
+    closed.optimal_measurement.check()
+    assert abs(affinity_discord_at(state, closed.optimal_measurement) - closed.value) < 1e-12
+
+
 def test_closed_form_agrees_with_bell_diagonal_route():
     rng = np.random.default_rng(64)
     for _ in range(10):

@@ -70,35 +70,47 @@ def test_basis_orthonormality_gate_sits_at_its_bound(factor, raises):
         MeasurementBasis.from_unitary(u)
 
 
-def test_basis_from_bloch_vector_direction():
-    r = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    basis = MeasurementBasis.from_bloch_vector(r)
-    n_dot_sigma = sum(ri * si for ri, si in zip(r, linalg.PAULI))
-    assert np.max(np.abs(basis.projectors[0] - (np.eye(2) + n_dot_sigma) / 2.0)) < 1e-12
-    assert np.max(np.abs(basis.projectors[1] - (np.eye(2) - n_dot_sigma) / 2.0)) < 1e-12
+def _bloch_projector(n, sign):
+    return (np.eye(2) + sign * sum(x * p for x, p in zip(n, linalg.PAULI))) / 2.0
 
 
-def _angle_route_kets(n):
-    u = np.asarray(n, dtype=float) / np.linalg.norm(n)
-    return MeasurementBasis.from_angles(np.arccos(u[2]), np.arctan2(u[1], u[0])).vectors
+def _assert_qubit_kets(n, tol=1e-15):
+    # orthonormal rows, the +n ket first, each |k><k| the projector (1 +/- n.sigma)/2
+    kets = measures._qubit_kets(np.asarray(n, dtype=float))
+    assert kets.shape == (2, 2)
+    assert np.max(np.abs(kets.conj() @ kets.T - np.eye(2))) < tol
+    for ket, sign in zip(kets, (1.0, -1.0)):
+        assert np.max(np.abs(np.outer(ket, ket.conj()) - _bloch_projector(n, sign))) < tol
+
+
+def _bloch_basis(theta, phi):
+    n = [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    return MeasurementBasis(2, measures._qubit_kets(np.array(n)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).filter(
     lambda n: np.linalg.norm(n) > 1e-6))
-def test_bloch_vector_kets_match_angle_route(n):
-    got = MeasurementBasis.from_bloch_vector(n).vectors
-    assert np.max(np.abs(got - _angle_route_kets(n))) < 1e-15
+def test_qubit_kets_project_onto_bloch_direction(n):
+    # a general direction carries the 2x2 eigh's round-off: up to 7 eps over 3e6 random ones
+    _assert_qubit_kets(np.asarray(n) / np.linalg.norm(n), tol=16 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("axis", range(3))
 @pytest.mark.parametrize("zero", [0.0, -0.0])
-def test_bloch_vector_kets_match_angle_route_on_axes(sign, axis, zero):
+def test_qubit_kets_on_signed_axis_poles(sign, axis, zero):
     n = np.full(3, zero)
     n[axis] = sign
-    got = MeasurementBasis.from_bloch_vector(n).vectors
-    assert np.max(np.abs(got - _angle_route_kets(n))) < 1e-15
+    _assert_qubit_kets(n)
+
+
+@pytest.mark.parametrize(
+    "x,y", [(5e-324, 5e-324), (-5e-324, 0.0), (0.0, -5e-324), (1e-310, -3e-310)]
+)
+@pytest.mark.parametrize("z", [1.0, -1.0])
+def test_qubit_kets_with_subnormal_xy(x, y, z):
+    _assert_qubit_kets([x, y, z])
 
 
 # --- affinity -------------------------------------------------------------------
@@ -163,7 +175,7 @@ def test_post_measurement_bell_state():
 
 def test_post_measurement_trace_preserving_and_idempotent():
     state = random_state(2, 3, seed=82)
-    basis = MeasurementBasis.from_angles(0.7, 2.1)
+    basis = _bloch_basis(0.7, 2.1)
     once = post_measurement(state, basis)
     twice = post_measurement(once, basis)
     assert abs(np.trace(once.rho) - 1.0) < 1e-12
@@ -201,7 +213,7 @@ def test_discord_at_equals_sqrt_pinching_distance():
     rng = np.random.default_rng(87)
     for _ in range(5):
         state = random_state(2, 3, rank=int(rng.integers(1, 7)), seed=rng)
-        basis = MeasurementBasis.from_angles(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+        basis = _bloch_basis(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
         s = state.sqrt()
         pinched = np.zeros_like(s)
         for proj in basis.projectors:
@@ -214,7 +226,7 @@ def test_discord_at_equals_sqrt_pinching_distance():
 def test_hs_discord_at_matches_direct_distance():
     rng = np.random.default_rng(88)
     state = random_state(2, 2, rank=3, seed=rng)
-    basis = MeasurementBasis.from_angles(1.0, 0.3)
+    basis = _bloch_basis(1.0, 0.3)
     direct = linalg.frobenius_norm_sq(
         state.rho - post_measurement(state, basis).rho
     )
@@ -369,6 +381,16 @@ def test_optimize_affinity_deterministic():
     a = optimize_affinity_discord(state, seed=5)
     b = optimize_affinity_discord(state, seed=5)
     assert a.value == b.value
+    assert np.array_equal(a.optimal_measurement.vectors, b.optimal_measurement.vectors)
+
+
+def test_seed_sequence_is_read_not_advanced():
+    state = random_state(3, 2, seed=11)
+    ss = np.random.SeedSequence(5)
+    a = optimize_affinity_discord(state, seed=ss)
+    b = optimize_affinity_discord(state, seed=ss)
+    assert ss.n_children_spawned == 0
+    assert a.evaluations == b.evaluations
     assert np.array_equal(a.optimal_measurement.vectors, b.optimal_measurement.vectors)
 
 
