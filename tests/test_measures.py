@@ -96,6 +96,34 @@ def test_qubit_kets_project_onto_bloch_direction(n):
     _assert_qubit_kets(np.asarray(n) / np.linalg.norm(n), tol=16 * np.finfo(float).eps)
 
 
+def test_basis_from_bloch_vector_direction():
+    r = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    basis = MeasurementBasis(2, measures._qubit_kets(r))
+    n_dot_sigma = sum(ri * si for ri, si in zip(r, linalg.PAULI))
+    assert np.max(np.abs(basis.projectors[0] - (np.eye(2) + n_dot_sigma) / 2.0)) < 1e-12
+    assert np.max(np.abs(basis.projectors[1] - (np.eye(2) - n_dot_sigma) / 2.0)) < 1e-12
+
+
+def _angle_route_projectors(n):
+    # (cos t/2, e^{ip} sin t/2) and (sin t/2, -e^{ip} cos t/2), t read by arctan2
+    u = np.asarray(n, dtype=float) / np.linalg.norm(n)
+    theta, phi = np.arctan2(np.hypot(u[0], u[1]), u[2]), np.arctan2(u[1], u[0])
+    c, s, e = np.cos(theta / 2.0), np.sin(theta / 2.0), np.exp(1j * phi)
+    kets = np.array([[c, e * s], [s, -e * c]])
+    return np.einsum("ki,kj->kij", kets, kets.conj())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).filter(
+    lambda n: np.linalg.norm(n) > 1e-6))
+def test_bloch_vector_kets_match_angle_route(n):
+    # eigh fixes each ket only up to a phase, so the two routes meet on the projectors
+    u = np.asarray(n) / np.linalg.norm(n)
+    basis = MeasurementBasis(2, measures._qubit_kets(u))
+    got = np.max(np.abs(basis.projectors - _angle_route_projectors(n)))
+    assert got < 16 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("axis", range(3))
 @pytest.mark.parametrize("zero", [0.0, -0.0])
