@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -30,7 +31,7 @@ from .states import BipartiteState, PureState, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
 _PURITY_PREFILTER = 1e-8
-_BOUND_MAX_DIM = 64  # skip the spectral bound for larger composite systems
+_BOUND_MAX_DIM = 64  # only --method bound computes the spectral bound for larger systems
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -120,9 +121,9 @@ def _measure_entry(state, psi, measure, method, budget, seed) -> dict:
         "evaluations": int(result.evaluations),
         "optimal_measurement": _measurement_payload(result),
     }
-    if measure != "hs" and state.dim <= _BOUND_MAX_DIM:
-        if raw_bound is None:
-            raw_bound = lower_bound(state)
+    if raw_bound is None and measure != "hs" and state.dim <= _BOUND_MAX_DIM:
+        raw_bound = lower_bound(state)
+    if raw_bound is not None:
         entry["bound"] = float(raw_bound)
         entry["bound_clamped"] = max(0.0, float(raw_bound))
     return entry
@@ -262,9 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args leaves the parser unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValidationError, UnsupportedDimensionError, FileNotFoundError) as exc:

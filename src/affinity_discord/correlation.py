@@ -33,24 +33,24 @@ def gell_mann_basis(d: int) -> np.ndarray:
     """
     if d < 2:
         raise OutOfRangeError(f"basis dimension {d} must be at least 2")
-    ops = [np.eye(d, dtype=np.complex128) / np.sqrt(d)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=np.complex128)
-            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
-            ops.append(sym)
-    for j in range(d):
-        for k in range(j + 1, d):
-            asym = np.zeros((d, d), dtype=np.complex128)
-            asym[j, k] = -1j / np.sqrt(2.0)
-            asym[k, j] = 1j / np.sqrt(2.0)
-            ops.append(asym)
-    for l in range(1, d):
-        diag = np.zeros(d, dtype=np.complex128)
-        diag[:l] = 1.0
-        diag[l] = -l
-        ops.append(np.diag(diag) / np.sqrt(l * (l + 1)))
-    return np.array(ops)
+    pairs = d * (d - 1) // 2
+    j, k = np.triu_indices(d, 1)
+    sym = np.arange(1, pairs + 1)
+    asym = sym + pairs
+    ops = np.zeros((d * d, d, d), dtype=np.complex128)
+    ops[sym, j, k] = ops[sym, k, j] = 1.0 / np.sqrt(2.0)
+    ops[asym, j, k] = -1j / np.sqrt(2.0)
+    ops[asym, k, j] = 1j / np.sqrt(2.0)
+    # diagonal element l is diag(1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)); complex
+    # division takes a * (1 / c), which can round differently from a float a / c
+    level = np.arange(d)
+    diag = (np.tri(d, k=-1) - np.diag(level)).astype(np.complex128)
+    diag[0] = 1.0
+    norms = np.sqrt(level * (level + 1))
+    norms[0] = np.sqrt(d)
+    slots = np.concatenate(([0], np.arange(2 * pairs + 1, d * d)))
+    ops[slots[:, None], level, level] = diag / norms[:, None]
+    return ops
 
 
 def _operator_basis(d: int) -> np.ndarray:
@@ -67,8 +67,10 @@ def correlation_matrix(state: BipartiteState) -> np.ndarray:
     ops_b = _operator_basis(state.dim_b)
     s = state.sqrt()
     s4 = s.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)
-    # gamma_ij = sum_{a b c d} S[(a,b),(c,d)] X_i[c,a] Y_j[d,b]
-    raw = np.einsum("abcd,ica,jdb->ij", s4, ops_a, ops_b, optimize=True)
+    # gamma_ij = sum_{a b c d} S[(a,b),(c,d)] X_i[c,a] Y_j[d,b]: contract A's
+    # small basis first, then B's as one (dim_a^2, dim_b^2) matmul over (d, b)
+    half = np.einsum("abcd,ica->idb", s4, ops_a).reshape(ops_a.shape[0], -1)
+    raw = half @ ops_b.reshape(ops_b.shape[0], -1).T
     residue = float(np.max(np.abs(raw.imag)))
     if residue > GAMMA_IMAG:
         raise ValidationError(

@@ -285,17 +285,12 @@ def random_pure_state(dim_a: int, dim_b: int, seed=None) -> PureState:
 # row-major; the writer emits 17 significant digits.
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def state_to_json(state: BipartiteState) -> str:
-    rows = []
-    for row in state.rho:
-        cells = ", ".join(
-            '{"re": %s, "im": %s}' % (_fmt17(z.real), _fmt17(z.imag)) for z in row
-        )
-        rows.append("    [" + cells + "]")
+    n = state.rho.shape[1]
+    row_fmt = "    [" + ", ".join(['{"re": %.17g, "im": %.17g}'] * n) + "]"
+    # each row as its interleaved re, im floats, formatted by one % per row
+    cells = np.ascontiguousarray(state.rho).view(np.float64).tolist()
+    rows = [row_fmt % tuple(row) for row in cells]
     body = ",\n".join(rows)
     return (
         '{\n  "dim_a": %d,\n  "dim_b": %d,\n  "matrix": [\n%s\n  ]\n}\n'

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affinity_discord import cli
 from affinity_discord.cli import build_parser, main
 from affinity_discord.correlation import closed_form_2xn
 from affinity_discord.families import sweep, werner_general_discords
@@ -145,6 +146,17 @@ def test_compute_reports_the_bound_up_to_dimension_64(tmp_path, capsys, dim_b, h
     entry = json.loads(out)["measures"]["affinity"]
     assert entry["method"] == "closed-2xn"
     assert ("bound" in entry) == ("bound_clamped" in entry) == has_bound
+
+
+def test_compute_bound_method_reports_the_bound_above_dimension_64(tmp_path, capsys):
+    # --method bound computes the bound at any size, so it reports it unclamped too
+    path = tmp_path / "state.json"
+    save_state(random_state(2, 33, rank=2, seed=1), path)
+    code, out, _ = run_cli(capsys, "compute", "--state", str(path), "--method", "bound")
+    assert code == 0
+    entry = json.loads(out)["measures"]["affinity"]
+    assert entry["method"] == "bound"
+    assert entry["value"] == entry["bound_clamped"] == max(0.0, entry["bound"])
 
 
 def test_compute_invalid_state_exits_2(tmp_path, capsys):
@@ -344,6 +356,24 @@ def test_compute_budget_below_one_exits_2(tmp_path, capsys):
     assert json.loads(err)["error"] == "OutOfRangeError"
 
 
+def test_parser_reuse_restores_defaults(tmp_path, capsys):
+    # main parses with one parser per process: a flag given once must not
+    # stick, and a refused flag must not spoil the next parse
+    path = tmp_path / "state.json"
+    save_state(random_state(3, 2, seed=3), path)
+    argv = ["compute", "--state", str(path), "--method", "optimize"]
+    evaluations = []
+    for extra in (["--budget", "5"], []):
+        code, out, _ = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        evaluations.append(json.loads(out)["measures"]["affinity"]["evaluations"])
+    assert evaluations[0] <= 5 < evaluations[1]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "five"])
+    assert exc.value.code == 2
+    assert cli._parser().parse_args(argv).budget is None
+
+
 def _readme_cli_lines():
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
     lines = [line.split("#")[0].split() for block in blocks for line in block.splitlines()]
@@ -376,6 +406,24 @@ def test_python_dash_m_runs_the_cli(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip())["passed"] is True
+
+
+_IMPORT_PROBE = """
+import json, sys
+from affinity_discord import cli
+print(json.dumps({
+    "scipy": sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy.")),
+    "parsers_built": cli._parser.cache_info().currsize,
+}))
+"""
+
+
+def test_importing_the_cli_builds_nothing():
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"scipy": [], "parsers_built": 0}
 
 
 _SCIPY_PROBE = """

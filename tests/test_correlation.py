@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from affinity_discord import linalg
 from affinity_discord.correlation import (
+    _operator_basis,
     closed_form_2xn,
     correlation_matrix,
     gell_mann_basis,
@@ -53,6 +54,35 @@ def test_gell_mann_traceless_and_hermitian(d):
             assert abs(np.trace(op)) < 1e-14
 
 
+def _gell_mann_by_loops(d):
+    # the basis as one d x d operator per element, in the documented order
+    ops = [np.eye(d, dtype=np.complex128) / np.sqrt(d)]
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=np.complex128)
+            sym[j, k] = sym[k, j] = 1.0 / np.sqrt(2.0)
+            ops.append(sym)
+    for j in range(d):
+        for k in range(j + 1, d):
+            asym = np.zeros((d, d), dtype=np.complex128)
+            asym[j, k] = -1j / np.sqrt(2.0)
+            asym[k, j] = 1j / np.sqrt(2.0)
+            ops.append(asym)
+    for l in range(1, d):
+        diag = np.zeros(d, dtype=np.complex128)
+        diag[:l] = 1.0
+        diag[l] = -l
+        ops.append(np.diag(diag) / np.sqrt(l * (l + 1)))
+    return np.array(ops)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 32])
+def test_gell_mann_matches_loop_reference_bit_for_bit(d):
+    basis, reference = gell_mann_basis(d), _gell_mann_by_loops(d)
+    assert basis.shape == reference.shape and basis.dtype == reference.dtype
+    assert basis.tobytes() == reference.tobytes()
+
+
 def test_gell_mann_rejects_dim_one():
     with pytest.raises(OutOfRangeError):
         gell_mann_basis(1)
@@ -61,14 +91,19 @@ def test_gell_mann_rejects_dim_one():
 # --- correlation matrix ---------------------------------------------------------
 
 
-def test_gamma_matches_direct_traces():
-    state = random_state(2, 3, rank=4, seed=50)
-    ba, bb = gell_mann_basis(2), gell_mann_basis(3)
+@pytest.mark.parametrize(
+    "dim_a,dim_b,rank",
+    [(1, 3, 2), (3, 1, 2), (2, 3, 4), (2, 8, 4)],
+    ids=["1x3", "3x1", "2x3", "2x8"],
+)
+def test_gamma_matches_direct_traces(dim_a, dim_b, rank):
+    state = random_state(dim_a, dim_b, rank=rank, seed=50)
+    ba, bb = _operator_basis(dim_a), _operator_basis(dim_b)
     gamma = correlation_matrix(state)
-    assert gamma.shape == (4, 9) and gamma.dtype == np.float64
+    assert gamma.shape == (dim_a**2, dim_b**2) and gamma.dtype == np.float64
     s = state.sqrt()
-    for i in range(4):
-        for j in range(9):
+    for i in range(dim_a**2):
+        for j in range(dim_b**2):
             direct = np.trace(s @ linalg.kron(ba[i], bb[j]))
             assert abs(direct.imag) < 1e-10
             assert abs(gamma[i, j] - direct.real) < 1e-12

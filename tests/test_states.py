@@ -15,6 +15,7 @@ from affinity_discord.errors import (
     ValidationError,
 )
 from affinity_discord.states import (
+    BipartiteState,
     append_ancilla,
     bell_diagonal,
     bell_state,
@@ -332,6 +333,40 @@ def test_json_round_trip_exact(tmp_path):
 def test_json_writer_deterministic():
     state = random_state(2, 2, seed=13)
     assert state_to_json(state) == state_to_json(state)
+
+
+def _json_by_cells(state):
+    # the writer's format, one format() call per number
+    rows = []
+    for row in state.rho:
+        cells = ", ".join(
+            '{"re": %s, "im": %s}' % (format(float(z.real), ".17g"), format(float(z.imag), ".17g"))
+            for z in row
+        )
+        rows.append("    [" + cells + "]")
+    body = ",\n".join(rows)
+    return '{\n  "dim_a": %d,\n  "dim_b": %d,\n  "matrix": [\n%s\n  ]\n}\n' % (
+        state.dim_a, state.dim_b, body
+    )
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 2), (2, 32)])
+def test_json_writer_matches_per_cell_formatting(dims):
+    state = random_state(*dims, seed=sum(dims))
+    assert state_to_json(state) == _json_by_cells(state)
+
+
+def test_json_writer_formats_edge_values_per_cell():
+    # signed zero, the smallest subnormal, a huge value and a tiny imaginary part;
+    # written unvalidated, in Fortran order so the writer cannot rely on the layout
+    row = [-0.0, 5e-324, 1e308, -1.5e-9j]
+    rho = np.asfortranarray(np.array([row, row[::-1], [1.0, 0.5, 0.25, 0.125], row], dtype=np.complex128))
+    state = BipartiteState(2, 2, rho)
+    assert state.rho.flags.f_contiguous
+    text = state_to_json(state)
+    assert text == _json_by_cells(state)
+    assert '"re": -0,' in text and "4.9406564584124654e-324" in text and "1e+308" in text
+    assert '"im": -1.5e-09' in text
 
 
 def test_json_reader_validates():
