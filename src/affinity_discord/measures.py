@@ -23,8 +23,8 @@ starts are eigenbases of Hermitian matrices from one ``default_rng(seed)`` draw;
 the seed (an int or a SeedSequence) is read, never advanced. A two-level A has
 one pair, so one step is the global optimum there and one start suffices.
 ``_maximize_grid`` evaluates the form on a Bloch-angle lattice for a two-level A
-and refines it with Nelder-Mead; it is an independent oracle for ``verify``, not
-a route of the optimizer, and the only user of scipy.
+and refines it on nested tangent-plane lattices, without eigh; it is an
+independent oracle for ``verify``, not a route of the optimizer.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 MAX_OPT_DIM = 8
 GRID_THETA = 181
 GRID_PHI = 360
-GRID_REFINE = 500
+GRID_LEVELS = 20
 MULTISTART_DEFAULT = 64
 BUDGET_DEFAULT = MULTISTART_DEFAULT * 20_000
 # T: rows vec(1), vec(sigma_x), vec(sigma_y), vec(sigma_z); then vec(X) -> vec(T^* X T^T)
@@ -58,7 +58,8 @@ _PAULI_PAIR = np.kron(_PAULI_VEC.conj(), _PAULI_VEC).T
 class MeasurementBasis:
     """Orthonormal rank-1 projective measurement on one subsystem.
 
-    ``vectors`` holds the measurement kets as rows; projectors are derived.
+    ``vectors`` holds the kets as rows, each phased so that its first component above
+    1/(2 sqrt(dim)) in magnitude is real and positive; projectors are derived.
     """
 
     dim: int
@@ -66,10 +67,20 @@ class MeasurementBasis:
 
     def __post_init__(self):
         vecs = np.array(self.vectors, dtype=np.complex128)
-        if vecs.shape != (self.dim, self.dim):
+        if self.dim < 1 or vecs.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
-                f"expected {self.dim} vectors of length {self.dim}, got shape {vecs.shape}"
+                f"expected dim >= 1 and {self.dim} kets of length {self.dim}, got {vecs.shape}"
             )
+        cut = 0.5 / self.dim**0.5  # a unit ket has a component of magnitude >= 1/sqrt(dim)
+        kets = vecs.tolist()  # a few kets of a few components: plain Python beats numpy calls
+        for ket in kets:
+            for k, lead in enumerate(ket):
+                if abs(lead) > cut:
+                    phase = lead.conjugate() / abs(lead)
+                    ket[:] = [c * phase + 0.0 for c in ket]  # + 0.0 clears signed zeros
+                    ket[k] = abs(lead)
+                    break
+        vecs = np.array(kets, dtype=np.complex128)
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
 
@@ -161,15 +172,6 @@ def _qubit_kets(n: np.ndarray) -> np.ndarray:
     return u[..., ::-1].swapaxes(-1, -2)
 
 
-def _pinch(rho: np.ndarray, basis: MeasurementBasis, dim_b: int) -> np.ndarray:
-    eye_b = np.eye(dim_b, dtype=np.complex128)
-    out = np.zeros_like(rho)
-    for proj in basis.projectors:
-        big = np.kron(proj, eye_b)
-        out += big @ rho @ big
-    return out
-
-
 # --- per-basis functionals ---------------------------------------------------
 
 
@@ -206,7 +208,12 @@ def post_measurement(state: BipartiteState, basis: MeasurementBasis) -> Bipartit
         raise DimensionMismatchError(
             f"basis dimension {basis.dim} does not match dim_a={state.dim_a}"
         )
-    pinched = _pinch(np.asarray(state.rho), basis, state.dim_b)
+    rho = np.asarray(state.rho)
+    eye_b = np.eye(state.dim_b, dtype=np.complex128)
+    pinched = np.zeros_like(rho)
+    for proj in basis.projectors:
+        big = np.kron(proj, eye_b)
+        pinched += big @ rho @ big
     return BipartiteState(state.dim_a, state.dim_b, pinched)
 
 
@@ -248,37 +255,30 @@ def pure_discord(psi: PureState) -> DiscordResult:
 
 
 def _maximize_grid(k: np.ndarray) -> float:
-    """Best overlap of a two-level A: Bloch lattice plus Nelder-Mead on (c0 + n^T G n) / 2."""
-    from scipy import optimize as sciopt
+    """Best overlap (c0 + n^T G n) / 2 of a two-level A: a Bloch lattice, then tangent lattices.
 
+    Each level tries the 5 x 5 points normalize(n + step (a u + b v)), a, b in [-1, 1],
+    with u, v spanning the tangent plane at the best n so far, moves to the best and
+    halves ``step`` (one lattice step at first). No eigh: the oracle stays independent.
+    """
     (c0,), (g,) = _pair_forms(k, np.eye(2)[None])
-    thetas = np.linspace(0.0, np.pi, GRID_THETA)
-    phis = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
-    n = np.empty((GRID_THETA, GRID_PHI, 3))
-    n[..., 0] = np.outer(np.sin(thetas), np.cos(phis))
-    n[..., 1] = np.outer(np.sin(thetas), np.sin(phis))
-    n[..., 2] = np.cos(thetas)[:, None]
-    n = n.reshape(-1, 3)
-    values = (c0 + np.einsum("gi,gi->g", n @ g, n)) / 2.0
-    best = int(np.argmax(values))
-    best_val = float(values[best])
 
-    def negative(angles):
-        st = np.sin(angles[0])
-        d = np.array([st * np.cos(angles[1]), st * np.sin(angles[1]), np.cos(angles[0])])
-        return -(c0 + d @ g @ d) / 2.0
+    def best_of(n):
+        return n[np.argmax(np.einsum("gi,gi->g", n @ g, n))]
 
-    res = sciopt.minimize(
-        negative,
-        np.array([thetas[best // GRID_PHI], phis[best % GRID_PHI]]),
-        method="Nelder-Mead",
-        options={
-            "maxfev": GRID_REFINE,
-            "xatol": 1e-10,
-            "fatol": OPTIMIZER_REL_IMPROVEMENT * max(1.0, abs(best_val)) * 1e-2,
-        },
-    )
-    return max(best_val, float(-res.fun))
+    t = np.linspace(0.0, np.pi, GRID_THETA)[:, None]
+    p = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
+    n = np.broadcast_arrays(np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t))
+    best = best_of(np.stack(n, -1).reshape(-1, 3))
+    ab = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 2), -1).reshape(-1, 2)
+    step = np.pi / (GRID_THETA - 1)
+    for _ in range(GRID_LEVELS):
+        u = np.cross(best, np.eye(3)[np.argmin(np.abs(best))])
+        u /= np.linalg.norm(u)
+        n = best + (step * ab) @ np.stack([u, np.cross(best, u)])
+        best = best_of(n / np.linalg.norm(n, axis=1, keepdims=True))
+        step /= 2.0
+    return float(c0 + best @ g @ best) / 2.0
 
 
 def _maximize(

@@ -305,11 +305,13 @@ def state_from_json(text: str) -> BipartiteState:
         if type(dim_a) is not int or type(dim_b) is not int:  # 2.7 or true must not truncate
             raise ValidationError(f"dimensions must be integers, got {dim_a!r} x {dim_b!r}")
         matrix = doc["matrix"]
-        rho = np.array(
-            [[complex(cell["re"], cell["im"]) for cell in row] for row in matrix],
-            dtype=np.complex128,
-        )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        vals = [x for row in matrix for cell in row for x in (cell["re"], cell["im"])]
+        if not set(map(type, vals)) <= {float, int}:  # true must not read as 1
+            raise ValidationError("matrix entries must be JSON numbers")
+        if len({len(row) for row in matrix}) > 1:
+            raise ValidationError("matrix rows differ in length")
+        rho = np.array(vals, dtype=np.float64).view(np.complex128).reshape(len(matrix), -1)
+    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
     return validate(rho, dim_a, dim_b)
 

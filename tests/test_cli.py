@@ -177,6 +177,16 @@ def test_compute_non_finite_state_exits_2(tmp_path, capsys, cell):
     assert json.loads(err)["error"] == "ValidationError"
 
 
+def test_compute_overflowing_number_exits_2(tmp_path, capsys):
+    # a 400-digit integer is valid JSON but overflows the float cast (1e400 reads as inf)
+    text = state_to_json(validate(np.eye(4) / 4.0, 2, 2))
+    path = tmp_path / "overflow.json"
+    path.write_text(text.replace('"re": 0.25', '"re": 1' + "0" * 400, 1))
+    code, _, err = run_cli(capsys, "compute", "--state", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "ValidationError"
+
+
 def test_compute_missing_file_exits_2(capsys):
     code, _, _ = run_cli(capsys, "compute", "--state", "/does/not/exist.json")
     assert code == 2
@@ -428,32 +438,34 @@ def test_importing_the_cli_builds_nothing():
 
 _SCIPY_PROBE = """
 import json, sys
+
+def scipy_modules():
+    return sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
+
 import affinity_discord.cli
-scipy_at_import = sorted(n for n in sys.modules if n == "scipy" or n.startswith("scipy."))
+at_import = scipy_modules()
 from affinity_discord import closed_form_2xn, sweep, werner_two_qubit
 from affinity_discord.measures import _maximize_grid, _overlap_kernel
 rows = sweep("werner2", [0.5])
-loaded = "scipy.optimize" in sys.modules
+after_sweep = scipy_modules()
 state = werner_two_qubit(0.5)
 value = 1.0 - _maximize_grid(_overlap_kernel(state.sqrt(), 2, 2))
 print(json.dumps({
-    "scipy_at_import": scipy_at_import,
-    "loaded_after_sweep": loaded,
+    "at_import": at_import,
+    "after_sweep": after_sweep,
     "sweep_gap": max(row.gap for row in rows),
     "grid_gap": abs(value - closed_form_2xn(state).value),
-    "loaded_after_grid": "scipy.optimize" in sys.modules,
+    "after_grid": scipy_modules(),
 }))
 """
 
 
-def test_scipy_optimize_loads_only_for_the_grid():
+def test_no_scipy_module_loads_even_for_the_grid():
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=_src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["scipy_at_import"] == []
-    assert report["loaded_after_sweep"] is False
+    assert report["at_import"] == report["after_sweep"] == report["after_grid"] == []
     assert report["sweep_gap"] < 1e-12
     assert report["grid_gap"] < 1e-9
-    assert report["loaded_after_grid"] is True

@@ -141,6 +141,38 @@ def test_qubit_kets_with_subnormal_xy(x, y, z):
     _assert_qubit_kets([x, y, z])
 
 
+def _assert_phase_rule(vectors):
+    # each ket's first component above 1/(2 sqrt(m)) in magnitude is real and positive
+    m = len(vectors)
+    for ket in vectors:
+        lead = next(c for c in ket if abs(c) > 0.5 / np.sqrt(m))
+        assert lead.imag == 0.0 and lead.real > 0.0, ket
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_reported_bases_follow_the_phase_rule(seed):
+    for res in (
+        pure_discord(random_pure_state(3, 4, seed=seed)),
+        closed_form_2xn(random_state(2, 3, rank=seed + 1, seed=seed)),
+        optimize_affinity_discord(random_state(3, 2, seed=seed), budget=2000, seed=seed),
+    ):
+        _assert_phase_rule(res.optimal_measurement.vectors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3).filter(
+        lambda n: np.linalg.norm(n) > 1e-6),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+)
+def test_qubit_kets_survive_round_off_in_the_direction(n, nudge):
+    # eigh's phase jumps under a 1e-16 change of n; the basis's phase rule does not
+    n = np.asarray(n) / np.linalg.norm(n)
+    kets = MeasurementBasis(2, measures._qubit_kets(n)).vectors
+    nudged = MeasurementBasis(2, measures._qubit_kets(n + 1e-16 * np.asarray(nudge))).vectors
+    assert np.max(np.abs(kets - nudged)) < 1e-12
+
+
 # --- affinity -------------------------------------------------------------------
 
 
@@ -306,6 +338,41 @@ def test_qubit_overlap_is_the_bloch_form(dim_b, data):
         assert abs((c0 + n @ g @ n) / 2.0 - got) < 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_kernel_ignores_an_ancilla_on_b(dims, seed):
+    # K(S x sqrt(sigma)) = K(S) and K(rho x sigma) = Tr(sigma^2) K(rho) for sigma on C, B' = B x C
+    dim_a, dim_b, dim_c = dims
+    state = random_state(dim_a, dim_b, seed=seed)
+    rho = np.asarray(state.rho)
+    sigma = random_density(dim_c, seed=seed + 1)
+    enlarged = dim_b * dim_c
+    k_sqrt = measures._overlap_kernel(state.sqrt(), dim_a, dim_b)
+    s_sigma = np.kron(state.sqrt(), linalg.matrix_sqrt_psd(sigma))
+    got = measures._overlap_kernel(s_sigma, dim_a, enlarged)
+    assert np.max(np.abs(got - k_sqrt)) < 1e-12
+    k_rho = measures._overlap_kernel(rho, dim_a, dim_b)
+    got = measures._overlap_kernel(np.kron(rho, sigma), dim_a, enlarged)
+    assert np.max(np.abs(got - linalg.frobenius_norm_sq(sigma) * k_rho)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.tuples(st.integers(1, 4), st.integers(1, 4)), seed=st.integers(0, 2**32 - 1))
+def test_kernel_under_local_unitaries(dims, seed):
+    # U on A maps K to (U x conj U) K (U x conj U)^dagger; a unitary on B leaves K as it is
+    dim_a, dim_b = dims
+    s = random_state(dim_a, dim_b, seed=seed).sqrt()
+    k = measures._overlap_kernel(s, dim_a, dim_b)
+    ua = linalg.haar_unitary(dim_a, seed)
+    u, uu = np.kron(ua, np.eye(dim_b)), np.kron(ua, ua.conj())
+    got = measures._overlap_kernel(u @ s @ u.conj().T, dim_a, dim_b)
+    assert np.max(np.abs(got - uu @ k @ uu.conj().T)) < 1e-12
+    v = np.kron(np.eye(dim_a), linalg.haar_unitary(dim_b, seed + 1))
+    got = measures._overlap_kernel(v @ s @ v.conj().T, dim_a, dim_b)
+    assert np.max(np.abs(got - k)) < 1e-12
+
+
 def _hs_closed_2xn(state):
     # Luo-Fu: with B_i = Tr_A[(sigma_i x 1) rho], D = (sum_i |B_i|^2 - lambda_max(M)) / 2,
     # M_ij = Re Tr(B_i^dagger B_j)
@@ -335,6 +402,20 @@ def test_grid_optimum_matches_2xn_closed_forms(dim_b, data):
         assert abs(res.value - exact) <= 1e-12, optimizer.__name__
         assert res.method == "optimized-local"
         assert res.evaluations <= 2
+
+
+def test_grid_oracle_runs_without_eigh(monkeypatch):
+    # the oracle checks the closed form, whose value is an eigenvalue, so it must not use eigh
+    state = random_state(2, 3, seed=5)
+    k = measures._overlap_kernel(state.sqrt(), 2, 3)
+    exact = closed_form_2xn(state).value
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    value = 1.0 - measures._maximize_grid(k)
+    assert exact - 1e-12 <= value <= exact + 1e-9
 
 
 def test_literal_affinity_reading_differs_from_functional():

@@ -382,6 +382,22 @@ def test_json_reader_rejects_malformed():
         state_from_json('{"dim_a": 2}')
 
 
+def test_json_reader_refuses_boolean_cells():
+    text = '{"dim_a": 1, "dim_b": 1, "matrix": [[{"re": true, "im": false}]]}'
+    with pytest.raises(ValidationError):
+        state_from_json(text)
+    assert state_from_json(text.replace("true", "1").replace("false", "0")).rho[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("rows", [[3, 1], [2, 1], [1, 2]])
+def test_json_reader_refuses_ragged_rows(rows):
+    # 3 + 1 cells would fill a 2 x 2 matrix if only the total were checked
+    cell = '{"re": 0.5, "im": 0}'
+    matrix = ", ".join("[" + ", ".join([cell] * n) + "]" for n in rows)
+    with pytest.raises(ValidationError):
+        state_from_json('{"dim_a": 1, "dim_b": 2, "matrix": [%s]}' % matrix)
+
+
 @pytest.mark.parametrize("dim_a, value", [(2, "2.7"), (2, "2.0"), (2, '"2"'), (1, "true")])
 def test_json_reader_rejects_non_integer_dimensions(dim_a, value):
     # each value, cast to int, would give dim_a and so fit the matrix
