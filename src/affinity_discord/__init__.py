@@ -5,6 +5,13 @@ lower bound from the square-root correlation matrix (the m-level form of the
 two-level closed form), brute-force optimization over projective
 measurements, and analytic formulas for the Bell-diagonal, Werner, and
 isotropic families.
+
+Some exports are called only by the tests and stay on purpose.
+``post_measurement``, ``affinity_discord_at`` and ``hs_discord_at`` are the
+reference definitions that the functional tests compare the kernel route
+against. ``affinity_metric`` is the paper's metric. ``gell_mann_basis`` and
+``correlation_matrix`` build the spectral bound, and the benchmark traces
+them by name until the bound moves onto the overlap kernel.
 """
 
 from .correlation import closed_form_2xn, correlation_matrix, gell_mann_basis, lower_bound
@@ -23,11 +30,9 @@ from .errors import (
     WrongDimensionError,
 )
 from .families import (
-    BellDiagonalSqrtData,
     SweepRow,
     bell_diagonal_discord,
     bell_diagonal_hs_discord,
-    bell_diagonal_sqrt_data,
     isotropic_discords,
     sweep,
     sweep_to_csv,
@@ -37,8 +42,6 @@ from .families import (
 from .linalg import (
     frobenius_norm_sq,
     haar_unitary,
-    hermitian_eig,
-    kron,
     matrix_sqrt_psd,
     partial_trace,
 )

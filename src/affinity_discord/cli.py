@@ -272,8 +272,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
-    except (ValidationError, UnsupportedDimensionError, FileNotFoundError) as exc:
+    except (ValidationError, UnsupportedDimensionError, OSError) as exc:
         name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__
         sys.stderr.write(json.dumps({"error": name, "message": str(exc)}) + "\n")
         unsupported = isinstance(exc, UnsupportedDimensionError)

@@ -36,31 +36,18 @@ def _safe_sqrt(x: float) -> float:
     return 0.0 if x < 1e-13 else float(np.sqrt(x))
 
 
-@dataclass(frozen=True)
-class BellDiagonalSqrtData:
-    """Bell-basis weights of a two-qubit state and the Pauli coefficients of its square root."""
+def bell_diagonal_discord(c1: float, c2: float, c3: float) -> float:
+    """Affinity discord of a Bell-diagonal state: 1 - (h^2 + max_j d_j^2)/4.
 
-    lambdas: np.ndarray  # (lam00, lam01, lam10, lam11)
-    h: float
-    d: np.ndarray  # (d1, d2, d3)
-
-    def reconstruct_sqrt(self) -> np.ndarray:
-        """(h * I + sum_i d_i sigma_i x sigma_i) / 4, the square root of the state."""
-        out = self.h * np.eye(4, dtype=np.complex128)
-        for di, sigma in zip(self.d, linalg.PAULI):
-            out += di * linalg.kron(sigma, sigma)
-        return out / 4.0
-
-
-def bell_diagonal_sqrt_data(c1: float, c2: float, c3: float) -> BellDiagonalSqrtData:
-    """Square-root expansion data (h, d) for a Bell-diagonal state."""
+    sqrt(rho) = (h 1 + sum_j d_j sigma_j x sigma_j) / 4, with h and d_j the
+    signed sums of the square roots r of the Bell-basis weights.
+    """
     lams = bell_diagonal_weights(c1, c2, c3)
     if np.min(lams) < -1e-12:
         raise InvalidBlochVectorError(
             f"correlation triple ({c1}, {c2}, {c3}) gives negative weight"
         )
-    lams = linalg.snap_spectrum(lams)  # the matrix square root's round-off rule
-    r = np.sqrt(lams)
+    r = np.sqrt(linalg.snap_spectrum(lams))  # the matrix square root's round-off rule
     h = float(np.sum(r))
     d = np.array(
         [
@@ -69,13 +56,7 @@ def bell_diagonal_sqrt_data(c1: float, c2: float, c3: float) -> BellDiagonalSqrt
             r[0] - r[1] + r[2] - r[3],
         ]
     )
-    return BellDiagonalSqrtData(lams, h, d)
-
-
-def bell_diagonal_discord(c1: float, c2: float, c3: float) -> float:
-    """Affinity discord of a Bell-diagonal state: 1 - (h^2 + max_j d_j^2)/4."""
-    data = bell_diagonal_sqrt_data(c1, c2, c3)
-    return 1.0 - (data.h**2 + float(np.max(data.d**2))) / 4.0
+    return 1.0 - (h**2 + float(np.max(d**2))) / 4.0
 
 
 def bell_diagonal_hs_discord(c1: float, c2: float, c3: float) -> float:
@@ -195,13 +176,9 @@ def sweep(
     return rows
 
 
-def _fmt12(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _fmt_param(param) -> str:
     if isinstance(param, (tuple, list, np.ndarray)):
-        return ";".join(format(float(c), ".12g") for c in param)
+        return ";".join(map(_fmt_param, param))
     return format(float(param), ".12g")
 
 
@@ -209,16 +186,6 @@ def sweep_to_csv(rows: Sequence[SweepRow]) -> str:
     """Render sweep rows as CSV with 12 significant digits."""
     lines = ["family,param,measure,analytic,optimized,gap"]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row.family,
-                    _fmt_param(row.param),
-                    row.measure,
-                    _fmt12(row.analytic),
-                    _fmt12(row.optimized),
-                    _fmt12(row.gap),
-                ]
-            )
-        )
+        numbers = [_fmt_param(x) for x in (row.analytic, row.optimized, row.gap)]
+        lines.append(",".join([row.family, _fmt_param(row.param), row.measure, *numbers]))
     return "\n".join(lines) + "\n"

@@ -33,29 +33,16 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(m) -> float:
-    """Largest entrywise deviation |M - M^dagger|."""
-    arr = as_matrix(m)
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(arr - arr.conj().T)))
-
-
 def require_hermitian(m, rtol: float) -> np.ndarray:
-    """Return the symmetrized matrix, or raise if the defect exceeds rtol * max(1, maxabs)."""
+    """Return the symmetrized matrix, or raise if max |M - M^dagger| exceeds rtol * max(1, maxabs)."""
     arr = as_matrix(m)
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-    defect = hermiticity_defect(arr)
+    scale = max(1.0, float(np.max(np.abs(arr), initial=0.0)))
+    defect = float(np.max(np.abs(arr - arr.conj().T), initial=0.0))
     if defect > rtol * scale:
         raise NonHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}"
         )
     return (arr + arr.conj().T) / 2.0
-
-
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in ascending order and eigenvectors as columns, of a Hermitian matrix."""
-    return np.linalg.eigh(require_hermitian(m, HERMITICITY))
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:
@@ -64,7 +51,7 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     Eigenvalues in ``[-PSD_EPSILON, 0)`` are treated as round-off and clamped
     to zero before the square root; anything more negative is an error.
     """
-    w, v = hermitian_eig(m)
+    w, v = np.linalg.eigh(require_hermitian(m, HERMITICITY))
     if w.size and w[0] < -PSD_EPSILON:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{PSD_EPSILON:.1e}")
     return (v * np.sqrt(snap_spectrum(w))) @ v.conj().T
@@ -80,11 +67,6 @@ def snap_spectrum(w) -> np.ndarray:
     if w.size:
         w[w < np.max(w) * w.size * np.finfo(np.float64).eps] = 0.0
     return w
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep: str = "a") -> np.ndarray:

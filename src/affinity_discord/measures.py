@@ -96,10 +96,6 @@ class MeasurementBasis:
             raise ValidationError(f"measurement vectors not orthonormal (defect {defect:.3e})")
 
     @classmethod
-    def computational(cls, dim: int) -> "MeasurementBasis":
-        return cls(dim, np.eye(dim, dtype=np.complex128))
-
-    @classmethod
     def from_unitary(cls, u) -> "MeasurementBasis":
         mat = linalg.as_matrix(u)
         basis = cls(mat.shape[0], mat.T.copy())

@@ -147,7 +147,7 @@ def bell_diagonal(c1: float, c2: float, c3: float) -> BipartiteState:
     eye4 = np.eye(4, dtype=np.complex128)
     rho = eye4.copy()
     for c, sigma in zip((c1, c2, c3), linalg.PAULI):
-        rho += c * linalg.kron(sigma, sigma)
+        rho += c * np.kron(sigma, sigma)
     return validate(rho / 4.0, 2, 2)
 
 
@@ -234,7 +234,7 @@ def product_state(rho_a, rho_b) -> BipartiteState:
     """Uncorrelated state rho_a x rho_b."""
     a = _require_density(rho_a, what="party-A state")
     b = _require_density(rho_b, what="party-B state")
-    return validate(linalg.kron(a, b), a.shape[0], b.shape[0])
+    return validate(np.kron(a, b), a.shape[0], b.shape[0])
 
 
 def append_ancilla(state: BipartiteState, sigma) -> BipartiteState:
@@ -323,4 +323,8 @@ def save_state(state: BipartiteState, path) -> None:
 
 def load_state(path) -> BipartiteState:
     with open(path, "r", encoding="utf-8") as fh:
-        return state_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"state file is not UTF-8: {exc}") from exc
+    return state_from_json(text)

@@ -169,7 +169,8 @@ def check_bound_dominance(seed, tols) -> CheckResult:
 
     For a two-level A the bound is the closed form itself, so ``bound_vs_closed``
     reads 0 and ``bound_slack`` reads how far the optimizer lands below the exact
-    value, which is round-off.
+    value, which is round-off. The 3x2 and 3x3 states test a strict bound:
+    ``m3_min_bracket`` is the least ``value - bound`` among them.
     """
     children = iter(seed.spawn(150))
     over_opt = -np.inf
@@ -183,11 +184,17 @@ def check_bound_dominance(seed, tols) -> CheckResult:
         closed = closed_form_2xn(state).value
         over_opt = max(over_opt, bound - opt)
         over_closed = max(over_closed, bound - closed)
+    m3_min_bracket = np.inf
+    for dim_b in [2] * 5 + [3] * 5:
+        state = random_state(3, dim_b, seed=next(children))
+        gap = lower_bound(state) - optimize_affinity_discord(state, seed=next(children)).value
+        over_opt = max(over_opt, gap)
+        m3_min_bracket = min(m3_min_bracket, -gap)
     gaps = {
         "bound_slack": max(0.0, over_opt),
         "bound_vs_closed": max(0.0, over_closed),
     }
-    return _result("bound_dominance", tols, gaps, {"states": 50})
+    return _result("bound_dominance", tols, gaps, {"states": 60, "m3_min_bracket": m3_min_bracket})
 
 
 def check_ancilla_invariance(seed, tols) -> CheckResult:
@@ -249,7 +256,7 @@ def check_local_unitary_invariance(seed, tols) -> CheckResult:
         state = random_state(2, dim_b, rank=(i % (2 * dim_b)) + 1, seed=next(children))
         u = linalg.haar_unitary(2, next(children))
         v = linalg.haar_unitary(dim_b, next(children))
-        big = linalg.kron(u, v)
+        big = np.kron(u, v)
         rotated = validate(big @ state.rho @ big.conj().T, 2, dim_b)
         gap_closed = max(
             gap_closed, abs(closed_form_2xn(state).value - closed_form_2xn(rotated).value)

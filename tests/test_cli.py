@@ -192,6 +192,44 @@ def test_compute_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_compute_state_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "compute", "--state", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "IsADirectoryError"
+
+
+def test_compute_non_utf8_state_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dim_a": 1, "dim_b": 1, "matrix": "\xe9"}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "compute", "--state", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_compute_out_directory_exits_2(bell_file, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "compute", "--state", bell_file, "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "IsADirectoryError"
+
+
+@pytest.mark.parametrize("command", ["compute", "sweep", "verify"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "state.json"
+    save_state(random_state(3, 2, seed=3), path)
+    argv = {
+        "compute": ["compute", "--state", str(path)],
+        "sweep": ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--steps", "2"],
+        "verify": ["verify", "--checks", "numerical_substrate"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-3")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValidationError"
+
+
 @pytest.mark.parametrize("method", ["auto", "optimize"])
 @pytest.mark.parametrize("dim_a", [2, 3])
 def test_compute_one_dimensional_b_is_zero(tmp_path, capsys, dim_a, method):

@@ -104,7 +104,7 @@ def test_gamma_matches_direct_traces(dim_a, dim_b, rank):
     s = state.sqrt()
     for i in range(dim_a**2):
         for j in range(dim_b**2):
-            direct = np.trace(s @ linalg.kron(ba[i], bb[j]))
+            direct = np.trace(s @ np.kron(ba[i], bb[j]))
             assert abs(direct.imag) < 1e-10
             assert abs(gamma[i, j] - direct.real) < 1e-12
 
@@ -262,7 +262,7 @@ def test_closed_form_local_unitary_invariant():
         state = random_state(2, 3, rank=(i % 6) + 1, seed=rng)
         u = linalg.haar_unitary(2, rng)
         v = linalg.haar_unitary(3, rng)
-        big = linalg.kron(u, v)
+        big = np.kron(u, v)
         rotated = validate(big @ state.rho @ big.conj().T, 2, 3)
         # spectra of Z Z^t and |v| are invariant, hence the closed form is too
         assert abs(closed_form_2xn(state).value - closed_form_2xn(rotated).value) < 1e-9

@@ -12,7 +12,6 @@ from affinity_discord.errors import (
 from affinity_discord.families import (
     bell_diagonal_discord,
     bell_diagonal_hs_discord,
-    bell_diagonal_sqrt_data,
     isotropic_discords,
     sweep,
     sweep_to_csv,
@@ -50,17 +49,6 @@ def test_bell_diagonal_rejects_invalid_triple():
         bell_diagonal_discord(1.0, 1.0, 1.0)
 
 
-def test_sqrt_data_reconstructs_square_root():
-    rng = np.random.default_rng(120)
-    for _ in range(8):
-        c1, c2, c3 = random_bell_triple(rng)
-        data = bell_diagonal_sqrt_data(c1, c2, c3)
-        state = bell_diagonal(c1, c2, c3)
-        root = data.reconstruct_sqrt()
-        assert np.max(np.abs(root @ root - state.rho)) < 1e-10
-        assert np.max(np.abs(root - state.sqrt())) < 1e-7
-
-
 @pytest.mark.parametrize("position", range(4))
 @pytest.mark.parametrize("small", [2e-15, 5e-15])
 def test_sqrt_data_keeps_weights_the_matrix_sqrt_keeps(small, position):
@@ -73,12 +61,6 @@ def test_sqrt_data_keeps_weights_the_matrix_sqrt_keeps(small, position):
     c3 = lams[0] - lams[1] + lams[2] - lams[3]
     closed = closed_form_2xn(bell_diagonal(c1, c2, c3)).value
     assert abs(bell_diagonal_discord(c1, c2, c3) - closed) < 1e-12
-
-
-def test_sqrt_data_trace_is_h():
-    data = bell_diagonal_sqrt_data(0.3, -0.2, 0.5)
-    assert np.trace(data.reconstruct_sqrt()).real == pytest.approx(data.h, abs=1e-12)
-    assert np.sum(data.lambdas) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_bell_diagonal_hs_values():

@@ -12,56 +12,20 @@ from affinity_discord.errors import (
 )
 
 
-def random_hermitian(rng, d):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2.0
-
-
 def random_psd(rng, d, rank=None):
     rank = rank or d
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     return g @ g.conj().T
 
 
-def test_eig_identity():
-    w, v = linalg.hermitian_eig(np.eye(4))
-    assert np.allclose(w, np.ones(4))
-    assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-12
-
-
-def test_eig_pauli_x_spectrum():
-    w, _ = linalg.hermitian_eig(linalg.SIGMA_X)
-    assert np.allclose(w, [-1.0, 1.0])
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
-def test_eig_reconstruction_and_unitarity(d):
-    rng = np.random.default_rng(10 + d)
-    h = random_hermitian(rng, d)
-    w, v = linalg.hermitian_eig(h)
-    scale = max(1.0, np.max(np.abs(h)))
-    assert np.max(np.abs((v * w) @ v.conj().T - h)) < 1e-10 * scale
-    assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
-    assert np.all(np.diff(w) >= 0)
-
-
-def test_eig_sum_equals_trace():
-    rng = np.random.default_rng(3)
-    for d in (2, 4, 6):
-        h = random_hermitian(rng, d)
-        w, _ = linalg.hermitian_eig(h)
-        tr = np.real(np.trace(h))
-        assert abs(np.sum(w) - tr) <= 1e-10 * abs(tr) + 1e-12
-
-
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.matrix_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig_rejects_non_square():
     with pytest.raises(NonSquareError):
-        linalg.hermitian_eig(np.zeros((2, 3)))
+        linalg.matrix_sqrt_psd(np.zeros((2, 3)))
 
 
 def test_sqrt_scalar_matrix():
@@ -83,7 +47,7 @@ def test_sqrt_squares_back(d, rank):
     m = random_psd(rng, d, rank)
     s = linalg.matrix_sqrt_psd(m)
     assert np.max(np.abs(s @ s - m)) < 1e-9 * np.max(np.abs(m))
-    assert linalg.hermiticity_defect(s) < 1e-12 * max(1.0, np.max(np.abs(s)))
+    assert np.max(np.abs(s - s.conj().T)) < 1e-12 * max(1.0, np.max(np.abs(s)))
 
 
 def test_sqrt_clamps_tiny_negative_eigenvalues():
@@ -108,31 +72,6 @@ def test_sqrt_hermiticity_gate_sits_at_its_bound(factor, raises):
         linalg.matrix_sqrt_psd(m)
 
 
-def test_kron_identities():
-    assert np.allclose(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.allclose(
-        linalg.kron(linalg.SIGMA_Z, linalg.SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0])
-    )
-
-
-def test_kron_trace_multiplicative():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 2)
-        lhs = np.trace(linalg.kron(a, b))
-        rhs = np.trace(a) * np.trace(b)
-        assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(rhs))
-
-
-def test_kron_associative():
-    rng = np.random.default_rng(5)
-    a, b, c = (random_hermitian(rng, d) for d in (2, 2, 3))
-    left = linalg.kron(linalg.kron(a, b), c)
-    right = linalg.kron(a, linalg.kron(b, c))
-    assert np.max(np.abs(left - right)) < 1e-12
-
-
 def test_partial_trace_bell_marginal():
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     rho = np.outer(v, v.conj())
@@ -146,7 +85,7 @@ def test_partial_trace_product_factorizes():
     a /= np.trace(a)
     b = random_psd(rng, 3)
     b /= np.trace(b)
-    rho = linalg.kron(a, b)
+    rho = np.kron(a, b)
     assert np.max(np.abs(linalg.partial_trace(rho, 2, 3, keep="a") - a)) < 1e-12
     assert np.max(np.abs(linalg.partial_trace(rho, 2, 3, keep="b") - b)) < 1e-12
 

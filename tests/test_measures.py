@@ -199,7 +199,7 @@ def test_affinity_symmetric():
 def test_affinity_multiplicative_on_products():
     a1, s1 = random_density(2, seed=75), random_density(2, seed=76)
     a2, s2 = random_density(3, seed=77), random_density(3, seed=78)
-    lhs = affinity(linalg.kron(a1, a2), linalg.kron(s1, s2))
+    lhs = affinity(np.kron(a1, a2), np.kron(s1, s2))
     rhs = affinity(a1, s1) * affinity(a2, s2)
     assert abs(lhs - rhs) < 1e-10
 
@@ -224,12 +224,12 @@ def test_post_measurement_keeps_classical_quantum_fixed():
     state = classical_quantum(
         [0.3, 0.7], [random_density(2, seed=80), random_density(2, seed=81)]
     )
-    out = post_measurement(state, MeasurementBasis.computational(2))
+    out = post_measurement(state, MeasurementBasis(2, np.eye(2)))
     assert np.max(np.abs(out.rho - state.rho)) < 1e-12
 
 
 def test_post_measurement_bell_state():
-    out = post_measurement(bell_state(0, 0).to_density(), MeasurementBasis.computational(2))
+    out = post_measurement(bell_state(0, 0).to_density(), MeasurementBasis(2, np.eye(2)))
     assert np.max(np.abs(out.rho - np.diag([0.5, 0.0, 0.0, 0.5]))) < 1e-12
 
 
@@ -255,7 +255,7 @@ def test_discord_at_product_state_marginal_basis_is_zero():
 
 def test_discord_at_bell_state_computational():
     state = bell_state(0, 0).to_density()
-    assert affinity_discord_at(state, MeasurementBasis.computational(2)) == pytest.approx(
+    assert affinity_discord_at(state, MeasurementBasis(2, np.eye(2))) == pytest.approx(
         0.5, abs=1e-12
     )
 
@@ -277,7 +277,7 @@ def test_discord_at_equals_sqrt_pinching_distance():
         s = state.sqrt()
         pinched = np.zeros_like(s)
         for proj in basis.projectors:
-            big = linalg.kron(proj, np.eye(3))
+            big = np.kron(proj, np.eye(3))
             pinched += big @ s @ big
         direct = linalg.frobenius_norm_sq(s - pinched)
         assert abs(affinity_discord_at(state, basis) - direct) < 1e-12
@@ -423,13 +423,13 @@ def test_literal_affinity_reading_differs_from_functional():
     # for the Bell state in the computational basis they are 1 - 1/sqrt(2)
     # versus 1/2. Both vanish together on zero-discord states.
     state = bell_state(0, 0).to_density()
-    basis = MeasurementBasis.computational(2)
+    basis = MeasurementBasis(2, np.eye(2))
     literal = 1.0 - affinity(state, post_measurement(state, basis))
     assert literal == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=1e-10)
     assert affinity_discord_at(state, basis) == pytest.approx(0.5, abs=1e-12)
 
     cq = classical_quantum([0.4, 0.6], [random_density(2, seed=89), random_density(2, seed=90)])
-    comp = MeasurementBasis.computational(2)
+    comp = MeasurementBasis(2, np.eye(2))
     assert abs(1.0 - affinity(cq, post_measurement(cq, comp))) < 1e-7
     assert abs(affinity_discord_at(cq, comp)) < 1e-10
 
@@ -528,7 +528,7 @@ def test_optimize_multistart_strategy_on_qubit():
 def _rotated_uniform_cq(m, seed):
     rng = np.random.default_rng(seed)
     state = classical_quantum(np.full(m, 1.0 / m), [random_density(2, seed=rng) for _ in range(m)])
-    big = linalg.kron(linalg.haar_unitary(m, rng), linalg.haar_unitary(2, rng))
+    big = np.kron(linalg.haar_unitary(m, rng), linalg.haar_unitary(2, rng))
     return validate(big @ state.rho @ big.conj().T, m, 2)
 
 
@@ -680,7 +680,7 @@ def test_local_unitary_invariance_of_optimum():
     state = random_state(2, 2, rank=3, seed=rng)
     u = linalg.haar_unitary(2, rng)
     v = linalg.haar_unitary(2, rng)
-    big = linalg.kron(u, v)
+    big = np.kron(u, v)
     rotated = validate(big @ state.rho @ big.conj().T, 2, 2)
     a = optimize_affinity_discord(state, seed=15).value
     b = optimize_affinity_discord(rotated, seed=15).value

@@ -286,7 +286,7 @@ def test_schmidt_sums_to_one_and_lu_invariant():
     assert abs(np.sum(s) - 1.0) < 1e-10
     u = linalg.haar_unitary(3, rng)
     v = linalg.haar_unitary(3, rng)
-    rotated = PureState(3, 3, linalg.kron(u, v) @ psi.amplitudes)
+    rotated = PureState(3, 3, np.kron(u, v) @ psi.amplitudes)
     assert np.max(np.abs(schmidt_spectrum(rotated) - s)) < 1e-10
 
 
