@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -27,7 +29,7 @@ from .measures import (
     pure_discord,
     remedied_hs_discord,
 )
-from .states import BipartiteState, PureState, load_state, schmidt_spectrum
+from .states import BipartiteState, PureState, _write_text, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
 _PURITY_PREFILTER = 1e-8
@@ -198,10 +200,17 @@ def cmd_verify(args) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out: str) -> None:
+    """Refuse an --out path that is a directory or whose directory is missing, before any work."""
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,6 +283,8 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (ValidationError, UnsupportedDimensionError, OSError) as exc:
         name = "FileNotFound" if isinstance(exc, FileNotFoundError) else type(exc).__name__

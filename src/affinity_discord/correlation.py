@@ -17,6 +17,8 @@ eigenvector of Z Z^t.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import OutOfRangeError, ValidationError, WrongDimensionError
@@ -25,11 +27,14 @@ from .states import BipartiteState
 from .tolerances import GAMMA_IMAG
 
 
+@functools.lru_cache(maxsize=2)
 def gell_mann_basis(d: int) -> np.ndarray:
     """Generalized Gell-Mann basis, shape (d^2, d, d), unit Hilbert-Schmidt norm each.
 
     Order: identity/sqrt(d), then symmetric pairs, antisymmetric pairs,
-    and diagonal elements.
+    and diagonal elements. The table depends only on ``d`` and is kept for the
+    last two dimensions asked for (A's and B's in ``correlation_matrix``), so
+    every caller shares one read-only array; copy it before writing.
     """
     if d < 2:
         raise OutOfRangeError(f"basis dimension {d} must be at least 2")
@@ -50,6 +55,7 @@ def gell_mann_basis(d: int) -> np.ndarray:
     norms[0] = np.sqrt(d)
     slots = np.concatenate(([0], np.arange(2 * pairs + 1, d * d)))
     ops[slots[:, None], level, level] = diag / norms[:, None]
+    ops.setflags(write=False)
     return ops
 
 

@@ -327,6 +327,9 @@ def _optimize(
     budget = BUDGET_DEFAULT if budget is None else budget
     if budget < 1:
         raise OutOfRangeError(f"budget must be at least 1, got {budget}")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        # a two-level A draws no random start, so default_rng would never see it
+        raise OutOfRangeError(f"seed must be non-negative, got {seed}")
     dim_a = state.dim_a
     if dim_a > MAX_OPT_DIM:
         raise UnsupportedDimensionError(

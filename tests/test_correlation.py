@@ -83,6 +83,19 @@ def test_gell_mann_matches_loop_reference_bit_for_bit(d):
     assert basis.tobytes() == reference.tobytes()
 
 
+def test_gell_mann_table_is_shared_and_read_only():
+    basis = gell_mann_basis(3)
+    assert gell_mann_basis(3) is basis
+    with pytest.raises(ValueError):
+        basis[1, 0, 1] = 0.0
+
+
+def test_gell_mann_cache_holds_two_dimensions_of_reference_tables():
+    for d in [2, 3, 4, 5, 6, 2, 6, 6, 3]:
+        assert gell_mann_basis(d).tobytes() == _gell_mann_by_loops(d).tobytes()
+        assert gell_mann_basis.cache_info().currsize <= 2
+
+
 def test_gell_mann_rejects_dim_one():
     with pytest.raises(OutOfRangeError):
         gell_mann_basis(1)

@@ -612,6 +612,16 @@ def test_optimize_rejects_budget_below_one(budget):
             optimizer(state, budget=budget)
 
 
+@pytest.mark.parametrize("seed", [-3, np.int64(-1)], ids=["int", "np.int64"])
+@pytest.mark.parametrize("dim_a", [2, 3])
+def test_optimize_rejects_a_negative_seed(dim_a, seed):
+    # a two-level A draws no random start, so numpy alone would accept the seed there
+    state = random_state(dim_a, 2, seed=1)
+    for optimizer in (optimize_affinity_discord, optimize_hs_discord, remedied_hs_discord):
+        with pytest.raises(OutOfRangeError, match="seed must be non-negative"):
+            optimizer(state, seed=seed)
+
+
 def test_one_level_a_takes_the_local_route():
     # a one-level A has no pair to rotate: the single basis {1}, reached in 0 steps
     state = random_state(1, 3, seed=96)
