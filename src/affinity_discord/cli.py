@@ -29,7 +29,7 @@ from .measures import (
     pure_discord,
     remedied_hs_discord,
 )
-from .states import BipartiteState, PureState, _write_text, load_state, schmidt_spectrum
+from .states import BipartiteState, PureState, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
 _PURITY_PREFILTER = 1e-8
@@ -200,17 +200,21 @@ def cmd_verify(args) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _write_text(out, text)
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _check_out(out: str) -> None:
-    """Refuse an --out path that is a directory or whose directory is missing, before any work."""
-    if os.path.isdir(out):
+    """Refuse, before any work, an --out path that ``open(out, "w")`` would refuse
+    for its directory part, with the error ``open`` would raise."""
+    parent = os.path.dirname(out.rstrip(os.sep)) or "."
+    if not os.path.isdir(parent):
+        os.stat(parent)  # FileNotFoundError, or NotADirectoryError below the parent
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
+    if out.endswith(os.sep) or os.path.isdir(out):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
-    if not os.path.isdir(os.path.dirname(out) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,8 +9,6 @@ trace, and positive semidefinite within the fixed gates of ``tolerances``.
 from __future__ import annotations
 
 import json
-import os
-import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -318,26 +316,9 @@ def state_from_json(text: str) -> BipartiteState:
     return validate(rho, dim_a, dim_b)
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, the bytes ``open(path, "w")`` would leave.
-
-    An existing file is overwritten in place and then cut to the written length,
-    rather than truncated to zero first: on ext4 (``auto_da_alloc``, the
-    default) emptying a non-empty file starts a flush when it is closed, which
-    costs far more than the write itself. The
-    mode 0o666 under the umask, symlinks followed to their target and an existing
-    file's inode and permission bits are as with ``open``. Only a regular file is
-    cut; ftruncate fails on a device, tty or pipe.
-    """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
-
-
 def save_state(state: BipartiteState, path) -> None:
-    _write_text(path, state_to_json(state))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(state_to_json(state))
 
 
 def load_state(path) -> BipartiteState:

@@ -330,15 +330,6 @@ def test_json_round_trip_exact(tmp_path):
     assert np.array_equal(loaded.rho, state.rho)
 
 
-def test_save_state_over_a_longer_file_leaves_no_tail(tmp_path):
-    path = tmp_path / "state.json"
-    save_state(random_state(2, 32, seed=1), path)
-    small = random_state(2, 2, seed=2)
-    save_state(small, path)
-    assert path.read_text(encoding="utf-8") == state_to_json(small)
-    assert np.array_equal(load_state(path).rho, small.rho)
-
-
 def test_json_writer_deterministic():
     state = random_state(2, 2, seed=13)
     assert state_to_json(state) == state_to_json(state)
