@@ -18,6 +18,7 @@ eigenvector of Z Z^t.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,21 +28,67 @@ from .states import BipartiteState
 from .tolerances import GAMMA_IMAG
 
 
+class _Layout(NamedTuple):
+    j: np.ndarray
+    k: np.ndarray
+    sym: np.ndarray
+    asym: np.ndarray
+    diag: np.ndarray
+    entry: np.ndarray
+    pos: np.ndarray
+    starts: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _gell_mann_layout(d: int) -> _Layout:
+    """Where the Gell-Mann table of dimension ``d`` is nonzero.
+
+    Off-diagonal pair p is ``(j[p], k[p])`` with j < k. Its symmetric element
+    is slot ``sym[p]`` and its antisymmetric one ``asym[p]``, both nonzero at
+    ``(j, k)`` and ``(k, j)`` only. ``diag`` holds the diagonal slots, the
+    scaled identity first: it is nonzero on the whole diagonal, and diagonal
+    element l on its first l + 1 entries. ``entry`` lists every nonzero, in
+    slot order, as an index into ``table.ravel()``; ``pos`` is the same entry's
+    index into one flattened d x d element, and ``starts`` is where each
+    slot's run begins. A one-level party (the table ``{1}``) has no pairs and
+    the single diagonal slot 0. The layout is O(d^2) integers, so it is kept
+    for every dimension asked for.
+    """
+    pairs = d * (d - 1) // 2
+    j, k = np.triu_indices(d, 1)
+    sym = np.arange(1, pairs + 1)
+    asym = sym + pairs
+    diag = np.concatenate(([0], np.arange(2 * pairs + 1, d * d)))
+    # nonzero entries: each pair at (j, k) and (k, j) in its two slots, and
+    # diagonal element l at levels 0..l (every level for the identity)
+    on_diagonal = np.tri(d, dtype=bool)
+    on_diagonal[0] = True
+    element, level = np.nonzero(on_diagonal)
+    upper, lower = j * d + k, k * d + j
+    slot = np.concatenate((sym, sym, asym, asym, diag[element]))
+    pos = np.concatenate((upper, lower, upper, lower, level * (d + 1)))
+    order = np.argsort(slot, kind="stable")
+    slot, pos = slot[order], pos[order]
+    starts = np.searchsorted(slot, np.arange(d * d))
+    layout = _Layout(j, k, sym, asym, diag, slot * d * d + pos, pos, starts)
+    for index in layout:
+        index.setflags(write=False)
+    return layout
+
+
 @functools.lru_cache(maxsize=2)
 def gell_mann_basis(d: int) -> np.ndarray:
     """Generalized Gell-Mann basis, shape (d^2, d, d), unit Hilbert-Schmidt norm each.
 
     Order: identity/sqrt(d), then symmetric pairs, antisymmetric pairs,
-    and diagonal elements. The table depends only on ``d`` and is kept for the
-    last two dimensions asked for (A's and B's in ``correlation_matrix``), so
-    every caller shares one read-only array; copy it before writing.
+    and diagonal elements (``_gell_mann_layout``). The table depends only on
+    ``d`` and is kept for the last two dimensions asked for (A's and B's in
+    ``correlation_matrix``), so every caller shares one read-only array; copy
+    it before writing.
     """
     if d < 2:
         raise OutOfRangeError(f"basis dimension {d} must be at least 2")
-    pairs = d * (d - 1) // 2
-    j, k = np.triu_indices(d, 1)
-    sym = np.arange(1, pairs + 1)
-    asym = sym + pairs
+    j, k, sym, asym, diag_slots = _gell_mann_layout(d)[:5]
     ops = np.zeros((d * d, d, d), dtype=np.complex128)
     ops[sym, j, k] = ops[sym, k, j] = 1.0 / np.sqrt(2.0)
     ops[asym, j, k] = -1j / np.sqrt(2.0)
@@ -53,8 +100,7 @@ def gell_mann_basis(d: int) -> np.ndarray:
     diag[0] = 1.0
     norms = np.sqrt(level * (level + 1))
     norms[0] = np.sqrt(d)
-    slots = np.concatenate(([0], np.arange(2 * pairs + 1, d * d)))
-    ops[slots[:, None], level, level] = diag / norms[:, None]
+    ops[diag_slots[:, None], level, level] = diag / norms[:, None]
     ops.setflags(write=False)
     return ops
 
@@ -74,9 +120,13 @@ def correlation_matrix(state: BipartiteState) -> np.ndarray:
     s = state.sqrt()
     s4 = s.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)
     # gamma_ij = sum_{a b c d} S[(a,b),(c,d)] X_i[c,a] Y_j[d,b]: contract A's
-    # small basis first, then B's as one (dim_a^2, dim_b^2) matmul over (d, b)
-    half = np.einsum("abcd,ica->idb", s4, ops_a).reshape(ops_a.shape[0], -1)
-    raw = half @ ops_b.reshape(ops_b.shape[0], -1).T
+    # small basis first into h[i, (d, b)], then sum h times each Y_j over the
+    # entries where Y_j is nonzero only (two for an off-diagonal element), so B's
+    # side costs O(dim_a^2 dim_b^2) rather than a dense O(dim_a^2 dim_b^4) matmul
+    h = np.einsum("abcd,ica->idb", s4, ops_a).reshape(ops_a.shape[0], -1)
+    layout = _gell_mann_layout(state.dim_b)
+    entries = ops_b.reshape(-1)[layout.entry]
+    raw = np.add.reduceat(h[:, layout.pos] * entries, layout.starts, axis=1)
     residue = float(np.max(np.abs(raw.imag)))
     if residue > GAMMA_IMAG:
         raise ValidationError(

@@ -5,11 +5,13 @@ Schmidt spectra, brute-force optimization) against the library's primary
 code paths and reports the worst observed gap. The same checks back the
 ``verify`` CLI command and the acceptance test suite. All randomness
 derives from a single seed: each check draws its streams by spawning from the
-SeedSequence child it is handed, so a fixed seed gives identical results.
+SeedSequence child it is handed, so a fixed seed gives identical results;
+only each check's wall time, ``runtime_s``, varies from run to run.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +75,7 @@ class CheckResult:
     tolerances: dict[str, float]
     gaps: dict[str, float]
     notes: dict[str, object] = field(default_factory=dict)
+    runtime_s: float = 0.0  # wall time of the check, set by run_checks
 
     def to_dict(self) -> dict:
         return {
@@ -81,6 +84,7 @@ class CheckResult:
             "tolerances": self.tolerances,
             "gaps": self.gaps,
             "notes": self.notes,
+            "runtime_s": self.runtime_s,
         }
 
 
@@ -378,5 +382,8 @@ def run_checks(
     results = []
     for (name, fn), child in zip(CHECKS, children):
         if name in selected:
-            results.append(fn(child, tols))
+            start = time.perf_counter()
+            result = fn(child, tols)
+            result.runtime_s = time.perf_counter() - start
+            results.append(result)
     return results

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -358,11 +359,24 @@ def test_verify_subset_passes_and_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
-    assert out1 == out2
-    lines = out1.strip().split("\n")
-    assert len(lines) == 2
+    # each check's wall time is the one field that may differ between runs
+    rows1, rows2 = ([json.loads(line) for line in out.strip().split("\n")] for out in (out1, out2))
+    for row in rows1 + rows2:
+        del row["runtime_s"]
+    assert rows1 == rows2
+    assert len(rows1) == 2
+    for row in rows1:
+        assert row["passed"] is True
+
+
+def test_verify_reports_runtime_per_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--seed", "7")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 10
     for line in lines:
-        assert json.loads(line)["passed"] is True
+        runtime = json.loads(line)["runtime_s"]
+        assert isinstance(runtime, float) and math.isfinite(runtime) and runtime >= 0.0
 
 
 def test_verify_injected_tolerance_fails(capsys):

@@ -1,11 +1,13 @@
 """Tests for operator bases, the correlation matrix, the bound, and the closed form."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinity_discord import linalg
+from affinity_discord import correlation, linalg
 from affinity_discord.correlation import (
     _operator_basis,
     closed_form_2xn,
@@ -13,7 +15,7 @@ from affinity_discord.correlation import (
     gell_mann_basis,
     lower_bound,
 )
-from affinity_discord.errors import OutOfRangeError, WrongDimensionError
+from affinity_discord.errors import OutOfRangeError, ValidationError, WrongDimensionError
 from affinity_discord.families import bell_diagonal_discord, werner_two_qubit_discords
 from affinity_discord.measures import MeasurementBasis, affinity_discord_at
 from affinity_discord.states import (
@@ -120,6 +122,65 @@ def test_gamma_matches_direct_traces(dim_a, dim_b, rank):
             direct = np.trace(s @ np.kron(ba[i], bb[j]))
             assert abs(direct.imag) < 1e-10
             assert abs(gamma[i, j] - direct.real) < 1e-12
+
+
+_DENSE_CASES = [
+    (dim_a, dim_b, rank)
+    for dim_a, dim_b in [(1, 4), (4, 1), (2, 16), (2, 32), (3, 5), (4, 3)]
+    for rank in (1, 2, dim_a * dim_b)
+]
+
+
+@pytest.mark.parametrize(
+    "dim_a,dim_b,rank", _DENSE_CASES, ids=[f"{a}x{b}-rank{r}" for a, b, r in _DENSE_CASES]
+)
+def test_gamma_matches_dense_contraction(dim_a, dim_b, rank):
+    state = random_state(dim_a, dim_b, rank=rank, seed=55)
+    ops_a, ops_b = _operator_basis(dim_a), _operator_basis(dim_b)
+    s4 = state.sqrt().reshape(dim_a, dim_b, dim_a, dim_b)
+    dense = np.einsum("abcd,ica,jdb->ij", s4, ops_a, ops_b, optimize=True)
+    gamma = correlation_matrix(state)
+    assert gamma.shape == dense.shape and gamma.dtype == np.float64
+    assert np.max(np.abs(gamma - dense.real)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "dim_a,dim_b", [(1, 4), (2, 3), (2, 8), (3, 2), (3, 4)], ids=["1x4", "2x3", "2x8", "3x2", "3x4"]
+)
+def test_gamma_reads_only_the_nonzero_entries_of_b_basis(dim_a, dim_b, monkeypatch):
+    state = random_state(dim_a, dim_b, rank=2, seed=56)
+    expected = correlation_matrix(state)
+
+    def poisoned(d):
+        table = gell_mann_basis(d)
+        if d != dim_b:
+            return table
+        table = table.copy()
+        table[table == 0] = complex(np.nan, np.nan)
+        return table
+
+    monkeypatch.setattr(correlation, "gell_mann_basis", poisoned)
+    assert np.isnan(_operator_basis(dim_b)).any()
+    gamma = correlation_matrix(state)
+    assert np.all(np.isfinite(gamma))
+    assert np.array_equal(gamma, expected)
+
+
+def _with_sqrt(state, sqrt):
+    return SimpleNamespace(dim_a=state.dim_a, dim_b=state.dim_b, sqrt=lambda: sqrt)
+
+
+@pytest.mark.parametrize("scale,raises", [(1e-8, True), (1e-13, False)])
+def test_gamma_gate_refuses_an_anti_hermitian_sqrt(scale, raises):
+    state = random_state(2, 3, rank=3, seed=57)
+    skew = 1j * random_density(6, seed=58)
+    sqrt = state.sqrt() + scale * skew
+    if raises:
+        with pytest.raises(ValidationError, match="imaginary residue"):
+            correlation_matrix(_with_sqrt(state, sqrt))
+    else:
+        gamma = correlation_matrix(_with_sqrt(state, sqrt))
+        assert np.max(np.abs(gamma - correlation_matrix(state))) < 1e-12
 
 
 def test_gamma_reconstructs_sqrt():
