@@ -24,6 +24,7 @@ from .measures import (
     BUDGET_DEFAULT,
     MULTISTART_DEFAULT,
     DiscordResult,
+    _require_budget,
     optimize_affinity_discord,
     optimize_hs_discord,
     pure_discord,
@@ -287,6 +288,7 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ValidationError(f"--seed must be non-negative, got {args.seed}")
+        _require_budget(vars(args).get("budget"))  # compute and sweep; None is the default
         if args.out:
             _check_out(args.out)
         return args.fn(args)

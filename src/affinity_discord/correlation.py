@@ -81,13 +81,14 @@ def gell_mann_basis(d: int) -> np.ndarray:
     """Generalized Gell-Mann basis, shape (d^2, d, d), unit Hilbert-Schmidt norm each.
 
     Order: identity/sqrt(d), then symmetric pairs, antisymmetric pairs,
-    and diagonal elements (``_gell_mann_layout``). The table depends only on
+    and diagonal elements (``_gell_mann_layout``). A one-level party gets the
+    single element {1}, with no traceless part. The table depends only on
     ``d`` and is kept for the last two dimensions asked for (A's and B's in
     ``correlation_matrix``), so every caller shares one read-only array; copy
     it before writing.
     """
-    if d < 2:
-        raise OutOfRangeError(f"basis dimension {d} must be at least 2")
+    if d < 1:
+        raise OutOfRangeError(f"basis dimension {d} must be at least 1")
     j, k, sym, asym, diag_slots = _gell_mann_layout(d)[:5]
     ops = np.zeros((d * d, d, d), dtype=np.complex128)
     ops[sym, j, k] = ops[sym, k, j] = 1.0 / np.sqrt(2.0)
@@ -105,18 +106,13 @@ def gell_mann_basis(d: int) -> np.ndarray:
     return ops
 
 
-def _operator_basis(d: int) -> np.ndarray:
-    # a one-level party has the single element {1} and no traceless part
-    return np.ones((1, 1, 1)) if d == 1 else gell_mann_basis(d)
-
-
 def correlation_matrix(state: BipartiteState) -> np.ndarray:
     """Real coefficients gamma_ij = Tr(sqrt(rho) X_i x Y_j), shape (dim_a^2, dim_b^2).
 
     X and Y are the Gell-Mann bases of A and B, with X_0 and Y_0 the scaled identity.
     """
-    ops_a = _operator_basis(state.dim_a)
-    ops_b = _operator_basis(state.dim_b)
+    ops_a = gell_mann_basis(state.dim_a)
+    ops_b = gell_mann_basis(state.dim_b)
     s = state.sqrt()
     s4 = s.reshape(state.dim_a, state.dim_b, state.dim_a, state.dim_b)
     # gamma_ij = sum_{a b c d} S[(a,b),(c,d)] X_i[c,a] Y_j[d,b]: contract A's

@@ -2,7 +2,7 @@
 
 These closed-form values double as oracles for the measurement optimizer:
 the ``sweep`` helper tabulates analytic against optimized values over a
-parameter grid.
+parameter grid. Each formula runs its family's domain check in ``states``.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import linalg
-from .errors import InvalidBlochVectorError, OutOfRangeError, UnknownFamilyError
-from .measures import optimize_affinity_discord, optimize_hs_discord
+from . import linalg, states
+from .errors import OutOfRangeError, UnknownFamilyError
+from .measures import _require_optimizable, optimize_affinity_discord, optimize_hs_discord
 from .states import (
     BipartiteState,
     bell_diagonal,
@@ -29,10 +29,7 @@ MEASURES = ("affinity", "hs")
 
 
 def _safe_sqrt(x: float) -> float:
-    # radicands vanish at domain endpoints; round-off residue there would be
-    # amplified to sqrt(eps) scale, so snap it to zero
-    if x < -1e-12:
-        raise OutOfRangeError(f"negative radicand {x!r}")
+    # radicands vanish at domain ends, where round-off would grow to sqrt(eps): snap it
     return 0.0 if x < 1e-13 else float(np.sqrt(x))
 
 
@@ -43,10 +40,6 @@ def bell_diagonal_discord(c1: float, c2: float, c3: float) -> float:
     signed sums of the square roots r of the Bell-basis weights.
     """
     lams = bell_diagonal_weights(c1, c2, c3)
-    if np.min(lams) < -1e-12:
-        raise InvalidBlochVectorError(
-            f"correlation triple ({c1}, {c2}, {c3}) gives negative weight"
-        )
     r = np.sqrt(linalg.snap_spectrum(lams))  # the matrix square root's round-off rule
     h = float(np.sum(r))
     d = np.array(
@@ -61,6 +54,7 @@ def bell_diagonal_discord(c1: float, c2: float, c3: float) -> float:
 
 def bell_diagonal_hs_discord(c1: float, c2: float, c3: float) -> float:
     """Hilbert-Schmidt discord of a Bell-diagonal state: (c1^2+c2^2+c3^2 - max c_i^2)/4."""
+    bell_diagonal_weights(c1, c2, c3)  # the domain check
     c2s = np.array([c1, c2, c3]) ** 2
     return float(np.sum(c2s) - np.max(c2s)) / 4.0
 
@@ -70,8 +64,7 @@ def werner_two_qubit_discords(p: float) -> tuple[float, float]:
 
     Affinity: (1 + p - sqrt((1-p)(1+3p)))/4.  HS: p^2/2.
     """
-    if not (-1.0 / 3.0 - 1e-12 <= p <= 1.0 + 1e-12):
-        raise OutOfRangeError(f"Werner parameter p={p} outside [-1/3, 1]")
+    states._require_werner2(p)
     aff = (1.0 + p - _safe_sqrt((1.0 - p) * (1.0 + 3.0 * p))) / 4.0
     return aff, p * p / 2.0
 
@@ -84,10 +77,7 @@ def werner_general_discords(m: int, x: float) -> tuple[float, float]:
     evaluated as (m x - 1)^2 / (2 (m+1)^2 (A + B)), which is never negative.
     HS: (m x - 1)^2 / (m (m-1) (m+1)^2).
     """
-    if m < 2:
-        raise OutOfRangeError(f"Werner dimension m={m} must be at least 2")
-    if not (-1.0 - 1e-12 <= x <= 1.0 + 1e-12):
-        raise OutOfRangeError(f"Werner parameter x={x} outside [-1, 1]")
+    states._require_werner(m, x)
     a = (m - x) / (m + 1.0)
     b = _safe_sqrt((m - 1.0) * (1.0 - x * x) / (m + 1.0))
     aff = (m * x - 1.0) ** 2 / (2.0 * (m + 1.0) ** 2 * (a + b))
@@ -103,10 +93,7 @@ def isotropic_discords(m: int, x: float) -> tuple[float, float]:
     is the normative choice since its large-m limit is x^2 (and it matches
     the Bell-diagonal reduction at m = 2).
     """
-    if m < 2:
-        raise OutOfRangeError(f"isotropic dimension m={m} must be at least 2")
-    if not (-1e-12 <= x <= 1.0 + 1e-12):
-        raise OutOfRangeError(f"isotropic parameter x={x} outside [0, 1]")
+    states._require_isotropic(m, x)
     aff = (_safe_sqrt((m - 1.0) * x) - _safe_sqrt((1.0 - x) / (m + 1.0))) ** 2 / m
     hs = (m * m * x - 1.0) ** 2 / (m * (m - 1.0) * (m + 1.0) ** 2)
     return aff, hs
@@ -153,9 +140,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Tabulate analytic vs optimized discord over a parameter grid.
 
-    ``dim`` is m for werner and isotropic, and must be left out for the
-    two-qubit werner2 and belldiag. Rows are ordered by grid index then
-    measure; for a fixed seed the output is deterministic.
+    ``dim`` is m for werner and isotropic (refused above the optimizer's cap before
+    any state is built), and must be left out for werner2 and belldiag. Rows are
+    ordered by grid index then measure; for a fixed seed the output is deterministic.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -164,6 +151,8 @@ def sweep(
             raise UnknownFamilyError(f"unknown measure {measure!r}; choose from {MEASURES}")
     if (dim is None) == (family in ("werner", "isotropic")):
         raise OutOfRangeError(f"family {family!r}: only werner and isotropic take dim, and need it")
+    if dim is not None:
+        _require_optimizable(dim)
     rows: list[SweepRow] = []
     for param in params:
         state, oracle = _family_point(family, param, dim)

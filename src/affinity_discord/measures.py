@@ -320,23 +320,32 @@ def _maximize(
     return float(values[best]), MeasurementBasis(dim_a, vectors[best]), steps
 
 
-def _optimize(
-    state: BipartiteState, s: np.ndarray, offset: float, budget: int | None, seed
-) -> DiscordResult:
-    """Minimize ``offset - overlap`` over projective bases on A, with K built from S."""
+def _require_budget(budget: int | None) -> int:
+    """The pair-step budget, ``BUDGET_DEFAULT`` for None; below 1 is refused."""
     budget = BUDGET_DEFAULT if budget is None else budget
     if budget < 1:
         raise OutOfRangeError(f"budget must be at least 1, got {budget}")
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        # a two-level A draws no random start, so default_rng would never see it
-        raise OutOfRangeError(f"seed must be non-negative, got {seed}")
-    dim_a = state.dim_a
+    return budget
+
+
+def _require_optimizable(dim_a: int) -> None:
     if dim_a > MAX_OPT_DIM:
         raise UnsupportedDimensionError(
             f"optimization supports dim_a <= {MAX_OPT_DIM}, got {dim_a}"
         )
-    k = _overlap_kernel(s, dim_a, state.dim_b)
-    best, basis, evals = _maximize(k, dim_a, budget, seed, state.marginal("a"))
+
+
+def _optimize(
+    state: BipartiteState, s: np.ndarray, offset: float, budget: int | None, seed
+) -> DiscordResult:
+    """Minimize ``offset - overlap`` over projective bases on A, with K built from S."""
+    budget = _require_budget(budget)
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        # a two-level A draws no random start, so default_rng would never see it
+        raise OutOfRangeError(f"seed must be non-negative, got {seed}")
+    _require_optimizable(state.dim_a)
+    k = _overlap_kernel(s, state.dim_a, state.dim_b)
+    best, basis, evals = _maximize(k, state.dim_a, budget, seed, state.marginal("a"))
     return DiscordResult(offset - best, "optimized-local", basis, evaluations=evals)
 
 

@@ -23,9 +23,7 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .tolerances import PSD_EPSILON, STATE_HERMITICITY, UNIT_TRACE
-
-_DOMAIN_SLACK = 1e-12  # forgive float round-off at interval endpoints
+from .tolerances import DOMAIN_SLACK, PSD_EPSILON, STATE_HERMITICITY, UNIT_TRACE
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,7 @@ class PureState:
 
 def _require_density(mat, what: str = "matrix") -> np.ndarray:
     """Gate an arbitrary matrix as a density matrix; returns the symmetrized array."""
-    arr = linalg.as_matrix(mat)
-    sym = linalg.require_hermitian(arr, STATE_HERMITICITY)
+    sym = linalg.require_hermitian(mat, STATE_HERMITICITY)
     eigs = np.linalg.eigvalsh(sym)
     if eigs.size and eigs[0] < -PSD_EPSILON:
         raise NotPSDError(f"{what} has eigenvalue {eigs[0]:.3e} below -{PSD_EPSILON:.1e}")
@@ -125,36 +122,52 @@ def bell_state(a: int, b: int) -> PureState:
 
 
 def bell_diagonal_weights(c1: float, c2: float, c3: float) -> np.ndarray:
-    """Bell-basis eigenvalues of the correlation triple, ordered (00, 01, 10, 11)."""
-    lams = np.array(
-        [
-            (1 + c1 - c2 + c3) / 4.0,
-            (1 + c1 + c2 - c3) / 4.0,
-            (1 - c1 + c2 + c3) / 4.0,
-            (1 - c1 - c2 - c3) / 4.0,
-        ]
-    )
-    return lams
+    """The triple's Bell-basis weights (00, 01, 10, 11), each checked against -DOMAIN_SLACK."""
+    lams = [
+        (1 + c1 - c2 + c3) / 4.0,
+        (1 + c1 + c2 - c3) / 4.0,
+        (1 - c1 + c2 + c3) / 4.0,
+        (1 - c1 - c2 - c3) / 4.0,
+    ]
+    if min(lams) < -DOMAIN_SLACK:
+        raise InvalidBlochVectorError(
+            f"correlation triple ({c1}, {c2}, {c3}) gives negative weight {min(lams):.3e}"
+        )
+    return np.array(lams)
 
 
 def bell_diagonal(c1: float, c2: float, c3: float) -> BipartiteState:
     """Two-qubit state diagonal in the Bell basis with correlations <sigma_i x sigma_i> = c_i."""
-    lams = bell_diagonal_weights(c1, c2, c3)
-    if np.min(lams) < -_DOMAIN_SLACK:
-        raise InvalidBlochVectorError(
-            f"correlation triple ({c1}, {c2}, {c3}) gives negative weight {np.min(lams):.3e}"
-        )
-    eye4 = np.eye(4, dtype=np.complex128)
-    rho = eye4.copy()
+    bell_diagonal_weights(c1, c2, c3)  # the domain check
+    rho = np.eye(4, dtype=np.complex128)
     for c, sigma in zip((c1, c2, c3), linalg.PAULI):
         rho += c * np.kron(sigma, sigma)
     return validate(rho / 4.0, 2, 2)
 
 
+# One domain check per family, run by its constructor here and its formulas in ``families``.
+def _require_werner2(p: float) -> None:
+    if not (-1.0 / 3.0 - DOMAIN_SLACK <= p <= 1.0 + DOMAIN_SLACK):
+        raise OutOfRangeError(f"Werner parameter p={p} outside [-1/3, 1]")
+
+
+def _require_werner(m: int, x: float) -> None:
+    if m < 2:
+        raise OutOfRangeError(f"Werner dimension m={m} must be at least 2")
+    if not (-1.0 - DOMAIN_SLACK <= x <= 1.0 + DOMAIN_SLACK):
+        raise OutOfRangeError(f"Werner parameter x={x} outside [-1, 1]")
+
+
+def _require_isotropic(m: int, x: float) -> None:
+    if m < 2:
+        raise OutOfRangeError(f"isotropic dimension m={m} must be at least 2")
+    if not (-DOMAIN_SLACK <= x <= 1.0 + DOMAIN_SLACK):
+        raise OutOfRangeError(f"isotropic parameter x={x} outside [0, 1]")
+
+
 def werner_two_qubit(p: float) -> BipartiteState:
     """Two-qubit Werner state (1-p)/4 * I + p |psi-><psi-| with the singlet |psi->."""
-    if not (-1.0 / 3.0 - _DOMAIN_SLACK <= p <= 1.0 + _DOMAIN_SLACK):
-        raise OutOfRangeError(f"Werner parameter p={p} outside [-1/3, 1]")
+    _require_werner2(p)
     singlet = bell_state(1, 1).amplitudes
     rho = (1.0 - p) / 4.0 * np.eye(4, dtype=np.complex128) + p * np.outer(
         singlet, singlet.conj()
@@ -164,19 +177,13 @@ def werner_two_qubit(p: float) -> BipartiteState:
 
 def swap_operator(m: int) -> np.ndarray:
     """Flip operator F |kl> = |lk> on an m x m bipartite space."""
-    f = np.zeros((m * m, m * m), dtype=np.complex128)
-    for k in range(m):
-        for l in range(m):
-            f[k * m + l, l * m + k] = 1.0
-    return f
+    f = np.eye(m * m, dtype=np.complex128).reshape(m, m, m, m)
+    return f.transpose(0, 1, 3, 2).reshape(m * m, m * m)
 
 
 def werner_general(m: int, x: float) -> BipartiteState:
     """m x m Werner state with flip expectation Tr(rho F) = x."""
-    if m < 2:
-        raise OutOfRangeError(f"Werner dimension m={m} must be at least 2")
-    if not (-1.0 - _DOMAIN_SLACK <= x <= 1.0 + _DOMAIN_SLACK):
-        raise OutOfRangeError(f"Werner parameter x={x} outside [-1, 1]")
+    _require_werner(m, x)
     f = swap_operator(m)
     denom = float(m) ** 3 - m
     rho = (m - x) / denom * np.eye(m * m, dtype=np.complex128) + (m * x - 1) / denom * f
@@ -199,10 +206,7 @@ def isotropic(m: int, x: float) -> BipartiteState:
     projects on the maximally entangled state; x = 1/m^2 gives the fully
     mixed state.
     """
-    if m < 2:
-        raise OutOfRangeError(f"isotropic dimension m={m} must be at least 2")
-    if not (-_DOMAIN_SLACK <= x <= 1.0 + _DOMAIN_SLACK):
-        raise OutOfRangeError(f"isotropic parameter x={x} outside [0, 1]")
+    _require_isotropic(m, x)
     psi = maximally_entangled(m).amplitudes
     proj = np.outer(psi, psi.conj())
     eye = np.eye(m * m, dtype=np.complex128)
@@ -217,7 +221,7 @@ def classical_quantum(probs, states_b) -> BipartiteState:
         raise DimensionMismatchError(
             f"{p.size} probabilities but {len(states_b)} conditional states"
         )
-    if p.size == 0 or np.min(p) < -_DOMAIN_SLACK or abs(float(np.sum(p)) - 1.0) > UNIT_TRACE:
+    if p.size == 0 or np.min(p) < -DOMAIN_SLACK or abs(float(np.sum(p)) - 1.0) > UNIT_TRACE:
         raise InvalidProbabilitiesError(f"probabilities {p.tolist()} are not a distribution")
     blocks = [_require_density(s, what=f"conditional state {k}") for k, s in enumerate(states_b)]
     dim_b = blocks[0].shape[0]
@@ -264,11 +268,7 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> np.ndarray:
 
 def random_state(dim_a: int, dim_b: int, rank: int | None = None, seed=None) -> BipartiteState:
     """Seeded random bipartite state of the given rank (Ginibre-induced measure)."""
-    dim = dim_a * dim_b
-    rank = dim if rank is None else rank
-    if not (1 <= rank <= dim):
-        raise OutOfRangeError(f"rank {rank} outside [1, {dim}]")
-    return validate(random_density(dim, rank, seed), dim_a, dim_b)
+    return validate(random_density(dim_a * dim_b, rank, seed), dim_a, dim_b)
 
 
 def random_pure_state(dim_a: int, dim_b: int, seed=None) -> PureState:

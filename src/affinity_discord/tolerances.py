@@ -9,6 +9,7 @@ HERMITICITY = 1e-12
 STATE_HERMITICITY = 1e-10
 UNIT_TRACE = 1e-10
 PSD_EPSILON = 1e-8  # eigenvalues in [-PSD_EPSILON, 0) are round-off
+DOMAIN_SLACK = 1e-12  # round-off forgiven at family-parameter and probability bounds
 # Derived-quantity gates.
 GAMMA_IMAG = 1e-10
 PROJECTOR_TOLERANCE = 1e-10

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinity_discord import cli
+from affinity_discord import cli, families
 from affinity_discord.cli import build_parser, main
 from affinity_discord.correlation import closed_form_2xn
 from affinity_discord.families import sweep, werner_general_discords
@@ -447,6 +447,51 @@ def test_compute_budget_below_one_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "OutOfRangeError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--state", "state.json", "--budget", "-5"],
+        ["compute", "--state", "state.json", "--method", "bound", "--budget", "0"],
+        ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--steps", "2", "--budget", "0"],
+    ],
+    ids=["compute-closed", "compute-bound", "sweep"],
+)
+def test_budget_below_one_exits_2_before_any_state_is_read(capsys, monkeypatch, argv):
+    # the closed and bound routes never run the optimizer, which also refuses it
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --budget was checked")
+
+    for name in ("load_state", "sweep"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "OutOfRangeError",
+        "message": f"budget must be at least 1, got {argv[-1]}",
+    }
+
+
+@pytest.mark.parametrize("dim", [9, 32])
+@pytest.mark.parametrize("family", ["werner", "isotropic"])
+def test_sweep_refuses_a_dim_above_the_optimizer_cap_before_any_state(
+    capsys, monkeypatch, family, dim
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built before --dim was checked")
+
+    for name in ("werner_general", "isotropic"):
+        monkeypatch.setattr(families, name, refuse)
+    argv = ["sweep", "--family", family, "--dim", str(dim), "--from", "0", "--to", "1"]
+    code, out, err = run_cli(capsys, *argv, "--steps", "3")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "UnsupportedDimensionError",
+        "message": f"optimization supports dim_a <= 8, got {dim}",
+    }
 
 
 def test_parser_reuse_restores_defaults(tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from affinity_discord import correlation, linalg
 from affinity_discord.correlation import (
-    _operator_basis,
     closed_form_2xn,
     correlation_matrix,
     gell_mann_basis,
@@ -98,9 +97,13 @@ def test_gell_mann_cache_holds_two_dimensions_of_reference_tables():
         assert gell_mann_basis.cache_info().currsize <= 2
 
 
-def test_gell_mann_rejects_dim_one():
+def test_gell_mann_basis_of_one_level_is_the_identity():
+    # a one-level party has the single element {1} and no traceless part
     with pytest.raises(OutOfRangeError):
-        gell_mann_basis(1)
+        gell_mann_basis(0)
+    basis = gell_mann_basis(1)
+    assert basis.dtype == np.complex128
+    assert basis.tobytes() == np.array([[[1 + 0j]]]).tobytes()
 
 
 # --- correlation matrix ---------------------------------------------------------
@@ -113,7 +116,7 @@ def test_gell_mann_rejects_dim_one():
 )
 def test_gamma_matches_direct_traces(dim_a, dim_b, rank):
     state = random_state(dim_a, dim_b, rank=rank, seed=50)
-    ba, bb = _operator_basis(dim_a), _operator_basis(dim_b)
+    ba, bb = gell_mann_basis(dim_a), gell_mann_basis(dim_b)
     gamma = correlation_matrix(state)
     assert gamma.shape == (dim_a**2, dim_b**2) and gamma.dtype == np.float64
     s = state.sqrt()
@@ -136,7 +139,7 @@ _DENSE_CASES = [
 )
 def test_gamma_matches_dense_contraction(dim_a, dim_b, rank):
     state = random_state(dim_a, dim_b, rank=rank, seed=55)
-    ops_a, ops_b = _operator_basis(dim_a), _operator_basis(dim_b)
+    ops_a, ops_b = gell_mann_basis(dim_a), gell_mann_basis(dim_b)
     s4 = state.sqrt().reshape(dim_a, dim_b, dim_a, dim_b)
     dense = np.einsum("abcd,ica,jdb->ij", s4, ops_a, ops_b, optimize=True)
     gamma = correlation_matrix(state)
@@ -160,7 +163,7 @@ def test_gamma_reads_only_the_nonzero_entries_of_b_basis(dim_a, dim_b, monkeypat
         return table
 
     monkeypatch.setattr(correlation, "gell_mann_basis", poisoned)
-    assert np.isnan(_operator_basis(dim_b)).any()
+    assert np.isnan(correlation.gell_mann_basis(dim_b)).any()
     gamma = correlation_matrix(state)
     assert np.all(np.isfinite(gamma))
     assert np.array_equal(gamma, expected)

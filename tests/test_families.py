@@ -18,7 +18,8 @@ from affinity_discord.families import (
     werner_general_discords,
     werner_two_qubit_discords,
 )
-from affinity_discord.states import bell_diagonal
+from affinity_discord.states import bell_diagonal, isotropic, werner_general, werner_two_qubit
+from affinity_discord.tolerances import DOMAIN_SLACK
 from affinity_discord.verification import DEFAULT_CHECK_TOLERANCES
 
 
@@ -45,8 +46,10 @@ def test_bell_diagonal_discord_werner_line():
 
 
 def test_bell_diagonal_rejects_invalid_triple():
-    with pytest.raises(InvalidBlochVectorError):
-        bell_diagonal_discord(1.0, 1.0, 1.0)
+    # the weight (1 - c1 - c2 - c3) / 4 is -1/2 here
+    for formula in (bell_diagonal_discord, bell_diagonal_hs_discord):
+        with pytest.raises(InvalidBlochVectorError):
+            formula(1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("position", range(4))
@@ -190,6 +193,61 @@ def test_isotropic_large_m_limits():
 def test_isotropic_out_of_range():
     with pytest.raises(OutOfRangeError):
         isotropic_discords(2, -0.1)
+
+
+# --- one domain per family ----------------------------------------------------------
+
+
+def _triple_with_weight(weight, position):
+    # the Bell-basis weight at ``position`` is ``weight``; the other three share the rest
+    lams = np.insert(np.full(3, (1.0 - weight) / 3.0), position, weight)
+    return tuple(float(c) for c in (
+        lams[0] + lams[1] - lams[2] - lams[3],
+        -lams[0] + lams[1] + lams[2] - lams[3],
+        lams[0] - lams[1] + lams[2] - lams[3],
+    ))
+
+
+# each edge is probed 2 DOMAIN_SLACK inside and outside, and half a slack
+# outside (within the forgiven round-off, so accepted)
+_IN, _OUT, _FORGIVEN = -2 * DOMAIN_SLACK, 2 * DOMAIN_SLACK, 0.5 * DOMAIN_SLACK
+_DOMAINS = {
+    "werner2": (
+        werner_two_qubit, (werner_two_qubit_discords,), OutOfRangeError,
+        [(-1.0 / 3.0 - d,) for d in (_IN, _FORGIVEN)] + [(1.0 + d,) for d in (_IN, _FORGIVEN)],
+        [(-1.0 / 3.0 - _OUT,), (1.0 + _OUT,)],
+    ),
+    "werner": (
+        werner_general, (werner_general_discords,), OutOfRangeError,
+        [(3, -1.0 - d) for d in (_IN, _FORGIVEN)] + [(3, 1.0 + d) for d in (_IN, _FORGIVEN)]
+        + [(2, 0.5)],
+        [(3, -1.0 - _OUT), (3, 1.0 + _OUT), (1, 0.5)],
+    ),
+    "isotropic": (
+        isotropic, (isotropic_discords,), OutOfRangeError,
+        [(3, -d) for d in (_IN, _FORGIVEN)] + [(3, 1.0 + d) for d in (_IN, _FORGIVEN)]
+        + [(2, 0.5)],
+        [(3, -_OUT), (3, 1.0 + _OUT), (1, 0.5)],
+    ),
+    "belldiag": (
+        bell_diagonal, (bell_diagonal_discord, bell_diagonal_hs_discord), InvalidBlochVectorError,
+        [_triple_with_weight(-d, k) for d in (_IN, _FORGIVEN) for k in range(4)],
+        [_triple_with_weight(-_OUT, k) for k in range(4)],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(_DOMAINS))
+def test_formulas_and_constructor_accept_and_reject_the_same_parameters(family):
+    build, formulas, error, accepted, refused = _DOMAINS[family]
+    for args in accepted:
+        build(*args)
+        for formula in formulas:
+            assert np.all(np.isfinite(formula(*args))), (formula.__name__, args)
+    for args in refused:
+        for call in (build, *formulas):
+            with pytest.raises(error):
+                call(*args)
 
 
 # --- sweep ------------------------------------------------------------------------

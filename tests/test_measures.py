@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinity_discord import linalg, measures
-from affinity_discord.correlation import closed_form_2xn
+from affinity_discord.correlation import closed_form_2xn, lower_bound
 from affinity_discord.errors import (
     DimensionMismatchError,
     OutOfRangeError,
@@ -602,6 +602,19 @@ def test_optimize_rejects_large_dimension():
     state = validate(np.eye(9) / 9.0, 9, 1)
     with pytest.raises(UnsupportedDimensionError):
         optimize_affinity_discord(state, seed=0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(dim_a=st.integers(4, 6), dim_b=st.integers(1, 3), data=st.data())
+def test_spectral_bound_and_one_bracket_the_optimized_value(dim_a, dim_b, data):
+    # m >= 4 runs the full 64-start search (0.03-0.32 s a call); the bound needs no optimizer
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rank = data.draw(st.integers(1, dim_a * dim_b), label="rank")
+    state = random_state(dim_a, dim_b, rank=rank, seed=seed)
+    slack = DEFAULT_CHECK_TOLERANCES["bound_slack"]
+    value = optimize_affinity_discord(state).value
+    assert lower_bound(state) <= value + slack
+    assert value <= 1.0 + slack
 
 
 @pytest.mark.parametrize("budget", [0, -5])

@@ -75,12 +75,14 @@ def test_sweep_items_match_expected_call_counts(tmp_path):
 
 
 def test_compute_items_match_expected_call_counts(tmp_path):
-    # one pure and one mixed item of the compute workload: the closed-pure and
-    # closed-2xn routes, with the bound, call what the workload's table says
+    # one item of each compute workload kind: the closed-pure and closed-2xn
+    # routes, with the bound, call what the workload's table says
     tracing = _tracing_module()
     workload = _load("workloads").ComputeQubit(seed=1, workdir=str(tmp_path))
     items = workload.build()
-    picked = [next(it for it in items if it.kind == kind) for kind in ("pure", "mixed")]
+    every_kind = list(workload.expected_calls)  # pure, mixed, belldiag, belldiag+ancilla
+    assert {it.kind for it in items} == set(every_kind)
+    picked = [next(it for it in items if it.kind == kind) for kind in every_kind]
     tracer = tracing.Tracer()
     tracer.install()
     try:
