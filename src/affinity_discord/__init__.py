@@ -9,9 +9,11 @@ isotropic families.
 Some exports are called only by the tests and stay on purpose.
 ``post_measurement``, ``affinity_discord_at`` and ``hs_discord_at`` are the
 reference definitions that the functional tests compare the kernel route
-against. ``affinity_metric`` is the paper's metric. ``gell_mann_basis`` and
-``correlation_matrix`` build the spectral bound, and the benchmark traces
-them by name until the bound moves onto the overlap kernel.
+against; they are also where a caller's own basis enters, and they refuse
+one that is not orthonormal. ``affinity_metric`` is the paper's metric.
+``gell_mann_basis`` and ``correlation_matrix`` build the spectral bound, and
+the benchmark traces them by name until the bound moves onto the overlap
+kernel.
 """
 
 from .correlation import closed_form_2xn, correlation_matrix, gell_mann_basis, lower_bound
@@ -46,13 +48,11 @@ from .linalg import (
     partial_trace,
 )
 from .measures import (
-    AncillaReport,
     DiscordResult,
     MeasurementBasis,
     affinity,
     affinity_discord_at,
     affinity_metric,
-    ancilla_behavior_report,
     hs_discord_at,
     optimize_affinity_discord,
     optimize_hs_discord,

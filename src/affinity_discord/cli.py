@@ -25,15 +25,16 @@ from .measures import (
     MULTISTART_DEFAULT,
     DiscordResult,
     _require_budget,
+    _require_seed,
     optimize_affinity_discord,
     optimize_hs_discord,
     pure_discord,
     remedied_hs_discord,
 )
 from .states import BipartiteState, PureState, load_state, schmidt_spectrum
+from .tolerances import PURITY_PREFILTER
 from .verification import CHECK_NAMES, run_checks
 
-_PURITY_PREFILTER = 1e-8
 _BOUND_MAX_DIM = 64  # only --method bound computes the spectral bound for larger systems
 
 EXIT_OK = 0
@@ -76,7 +77,7 @@ def _as_pure(state: BipartiteState) -> PureState | None:
     # One surviving eigenvalue forces purity >= (1 - 2 d^2 eps) Tr(rho)^2, above
     # this cut for d <= 4096, so the purity test is a necessary condition that
     # spares mixed states the eigh.
-    if state.purity() < 1.0 - _PURITY_PREFILTER:
+    if state.purity() < 1.0 - PURITY_PREFILTER:
         return None
     w, v = np.linalg.eigh(state.rho)
     if np.count_nonzero(linalg.snap_spectrum(w)) != 1:
@@ -286,8 +287,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be non-negative, got {args.seed}")
+        _require_seed(args.seed)
         _require_budget(vars(args).get("budget"))  # compute and sweep; None is the default
         if args.out:
             _check_out(args.out)

@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from .states import BipartiteState, PureState, append_ancilla
+from .states import BipartiteState, PureState
 from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 
 MAX_OPT_DIM = 8
@@ -56,10 +56,11 @@ _PAULI_PAIR = np.kron(_PAULI_VEC.conj(), _PAULI_VEC).T
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Orthonormal rank-1 projective measurement on one subsystem.
+    """Rank-1 projective measurement on one subsystem.
 
     ``vectors`` holds the kets as rows, each phased so that its first component above
-    1/(2 sqrt(dim)) in magnitude is real and positive; projectors are derived.
+    1/(2 sqrt(dim)) in magnitude is real and positive; projectors are derived. Their
+    orthonormality is checked where a basis enters a computation (``_require_basis``).
     """
 
     dim: int
@@ -89,19 +90,6 @@ class MeasurementBasis:
         """Stack of rank-1 projectors |v_k><v_k|, shape (dim, dim, dim)."""
         return np.einsum("ka,kb->kab", self.vectors, self.vectors.conj())
 
-    def check(self) -> None:
-        gram = self.vectors.conj() @ self.vectors.T
-        defect = float(np.max(np.abs(gram - np.eye(self.dim))))
-        if defect > PROJECTOR_TOLERANCE:
-            raise ValidationError(f"measurement vectors not orthonormal (defect {defect:.3e})")
-
-    @classmethod
-    def from_unitary(cls, u) -> "MeasurementBasis":
-        mat = linalg.as_matrix(u)
-        basis = cls(mat.shape[0], mat.T.copy())
-        basis.check()
-        return basis
-
 
 @dataclass(frozen=True)
 class DiscordResult:
@@ -118,17 +106,6 @@ class DiscordResult:
     optimal_measurement: MeasurementBasis | None = None
     parameters: np.ndarray | None = None
     evaluations: int = 0
-
-
-@dataclass(frozen=True)
-class AncillaReport:
-    """Optimized discords before/after enlarging party B with an ancilla."""
-
-    affinity_before: float
-    affinity_after: float
-    hs_before: float
-    hs_after: float
-    sigma_purity: float
 
 
 # --- overlap kernel ----------------------------------------------------------
@@ -198,12 +175,25 @@ def affinity_metric(rho, sigma) -> float:
     return float(np.sqrt(1.0 - affinity(rho, sigma)))
 
 
-def post_measurement(state: BipartiteState, basis: MeasurementBasis) -> BipartiteState:
-    """Pinched state sum_k (Pi_k x 1) rho (Pi_k x 1); idempotent and trace preserving."""
+def _require_basis(state: BipartiteState, basis: MeasurementBasis) -> None:
+    """Refuse a basis that is not dim_a orthonormal kets, a von Neumann measurement on A.
+
+    Run at entry, not in ``MeasurementBasis``, so the bases that the optimizers and
+    closed forms build from eigh and svd pay nothing for it.
+    """
     if basis.dim != state.dim_a:
         raise DimensionMismatchError(
             f"basis dimension {basis.dim} does not match dim_a={state.dim_a}"
         )
+    gram = basis.vectors.conj() @ basis.vectors.T
+    defect = float(np.max(np.abs(gram - np.eye(basis.dim))))
+    if not defect <= PROJECTOR_TOLERANCE:  # a NaN defect is refused too
+        raise ValidationError(f"measurement vectors not orthonormal (defect {defect:.3e})")
+
+
+def post_measurement(state: BipartiteState, basis: MeasurementBasis) -> BipartiteState:
+    """Pinched state sum_k (Pi_k x 1) rho (Pi_k x 1); idempotent and trace preserving."""
+    _require_basis(state, basis)
     rho = np.asarray(state.rho)
     eye_b = np.eye(state.dim_b, dtype=np.complex128)
     pinched = np.zeros_like(rho)
@@ -216,10 +206,7 @@ def post_measurement(state: BipartiteState, basis: MeasurementBasis) -> Bipartit
 def _functional_at(
     state: BipartiteState, basis: MeasurementBasis, s: np.ndarray, offset: float
 ) -> float:
-    if basis.dim != state.dim_a:
-        raise DimensionMismatchError(
-            f"basis dimension {basis.dim} does not match dim_a={state.dim_a}"
-        )
+    _require_basis(state, basis)
     k = _overlap_kernel(s, state.dim_a, state.dim_b)
     return offset - float(_overlap(k, np.asarray(basis.vectors)))
 
@@ -243,7 +230,7 @@ def pure_discord(psi: PureState) -> DiscordResult:
     """Closed form for pure states: 1 - sum_k s_k^2 over the Schmidt spectrum s_k = sv_k^2."""
     u, sv, _ = np.linalg.svd(psi.amplitudes.reshape(psi.dim_a, psi.dim_b))
     value = 1.0 - float(np.sum(sv**4))
-    basis = MeasurementBasis.from_unitary(u)
+    basis = MeasurementBasis(psi.dim_a, u.T)
     return DiscordResult(value, "closed-pure", basis, parameters=None, evaluations=0)
 
 
@@ -328,6 +315,12 @@ def _require_budget(budget: int | None) -> int:
     return budget
 
 
+def _require_seed(seed) -> None:
+    """Refuse a negative integer seed; an int, a numpy integer or a SeedSequence passes."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise OutOfRangeError(f"seed must be non-negative, got {seed}")
+
+
 def _require_optimizable(dim_a: int) -> None:
     if dim_a > MAX_OPT_DIM:
         raise UnsupportedDimensionError(
@@ -340,9 +333,7 @@ def _optimize(
 ) -> DiscordResult:
     """Minimize ``offset - overlap`` over projective bases on A, with K built from S."""
     budget = _require_budget(budget)
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        # a two-level A draws no random start, so default_rng would never see it
-        raise OutOfRangeError(f"seed must be non-negative, got {seed}")
+    _require_seed(seed)  # a two-level A draws no random start, so default_rng would never see it
     _require_optimizable(state.dim_a)
     k = _overlap_kernel(s, state.dim_a, state.dim_b)
     best, basis, evals = _maximize(k, state.dim_a, budget, seed, state.marginal("a"))
@@ -382,16 +373,3 @@ def remedied_hs_discord(
     measure. Tr(sqrt(rho)^2) = 1 for a unit-trace state, so the offset is 1.
     """
     return _optimize(state, state.sqrt(), 1.0, budget, seed)
-
-
-def ancilla_behavior_report(
-    state: BipartiteState, sigma, budget: int | None = None, seed=0
-) -> AncillaReport:
-    """Optimized affinity and HS discords before and after appending sigma on B."""
-    enlarged = append_ancilla(state, sigma)
-    sigma_purity = linalg.frobenius_norm_sq(sigma)
-    aff_before = optimize_affinity_discord(state, budget, seed).value
-    hs_before = optimize_hs_discord(state, budget, seed).value
-    aff_after = optimize_affinity_discord(enlarged, budget, seed).value
-    hs_after = optimize_hs_discord(enlarged, budget, seed).value
-    return AncillaReport(aff_before, aff_after, hs_before, hs_after, sigma_purity)

@@ -23,7 +23,7 @@ from .errors import (
     OutOfRangeError,
     ValidationError,
 )
-from .tolerances import DOMAIN_SLACK, PSD_EPSILON, STATE_HERMITICITY, UNIT_TRACE
+from .tolerances import DOMAIN_SLACK, PSD_EPSILON, STATE_HERMITICITY, UNIT_NORM, UNIT_TRACE
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class PureState:
                 f"{self.dim_a} x {self.dim_b}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > UNIT_NORM:
             raise ValidationError(f"amplitudes have norm {norm!r}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

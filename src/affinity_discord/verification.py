@@ -29,11 +29,12 @@ from .measures import (
     _maximize_grid,
     _overlap_kernel,
     affinity,
-    ancilla_behavior_report,
     optimize_affinity_discord,
+    optimize_hs_discord,
 )
 from .states import (
     BipartiteState,
+    append_ancilla,
     classical_quantum,
     isotropic,
     maximally_entangled,
@@ -214,11 +215,14 @@ def check_ancilla_invariance(seed, tols) -> CheckResult:
     for p in (0.3, 0.7, 1.0):
         state = werner_two_qubit(p)
         for sigma in sigmas.values():
-            report = ancilla_behavior_report(state, sigma, seed=next(children))
-            gap_aff = max(gap_aff, abs(report.affinity_after - report.affinity_before))
-            gap_hs = max(
-                gap_hs, abs(report.hs_after - report.hs_before * report.sigma_purity)
-            )
+            opt_seed = next(children)
+            enlarged = append_ancilla(state, sigma)
+            aff_before = optimize_affinity_discord(state, seed=opt_seed).value
+            hs_before = optimize_hs_discord(state, seed=opt_seed).value
+            aff_after = optimize_affinity_discord(enlarged, seed=opt_seed).value
+            hs_after = optimize_hs_discord(enlarged, seed=opt_seed).value
+            gap_aff = max(gap_aff, abs(aff_after - aff_before))
+            gap_hs = max(gap_hs, abs(hs_after - hs_before * linalg.frobenius_norm_sq(sigma)))
     gaps = {"ancilla": max(gap_aff, gap_hs)}
     notes = {"affinity_gap": gap_aff, "hs_scaling_gap": gap_hs}
     return _result("ancilla_invariance", tols, gaps, notes)

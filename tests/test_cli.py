@@ -259,7 +259,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     code, out, err = run_cli(capsys, *argv, "--seed", "-3")
     assert code == 2
     assert out == ""
-    assert json.loads(err)["error"] == "ValidationError"
+    assert json.loads(err)["error"] == "OutOfRangeError"
 
 
 @pytest.mark.parametrize("method", ["auto", "optimize"])

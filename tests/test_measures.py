@@ -19,7 +19,6 @@ from affinity_discord.measures import (
     affinity,
     affinity_discord_at,
     affinity_metric,
-    ancilla_behavior_report,
     hs_discord_at,
     optimize_affinity_discord,
     optimize_hs_discord,
@@ -29,6 +28,7 @@ from affinity_discord.measures import (
 )
 from affinity_discord.states import (
     PureState,
+    append_ancilla,
     bell_diagonal,
     bell_state,
     classical_quantum,
@@ -48,7 +48,7 @@ from affinity_discord.verification import DEFAULT_CHECK_TOLERANCES
 
 def test_basis_completeness_and_orthogonality():
     u = linalg.haar_unitary(3, seed=70)
-    basis = MeasurementBasis.from_unitary(u)
+    basis = MeasurementBasis(3, u.T)
     projs = basis.projectors
     assert np.max(np.abs(np.sum(projs, axis=0) - np.eye(3))) < 1e-10
     for k in range(3):
@@ -59,15 +59,38 @@ def test_basis_completeness_and_orthogonality():
         assert np.trace(projs[k]) == pytest.approx(1.0, abs=1e-12)
 
 
+_BASIS_ENTRIES = [post_measurement, affinity_discord_at, hs_discord_at]
+
+
 @pytest.mark.parametrize("factor,raises", [(0.5, False), (2.0, True)])
 def test_basis_orthonormality_gate_sits_at_its_bound(factor, raises):
     # the Gram matrix of diag(sqrt(1 + d), 1) is off the identity by d
-    u = np.diag([np.sqrt(1.0 + factor * 1e-10), 1.0])
-    if raises:
-        with pytest.raises(ValidationError):
-            MeasurementBasis.from_unitary(u)
-    else:
-        MeasurementBasis.from_unitary(u)
+    basis = MeasurementBasis(2, np.diag([np.sqrt(1.0 + factor * 1e-10), 1.0]))
+    state = werner_two_qubit(0.5)
+    for entry in _BASIS_ENTRIES:
+        if raises:
+            with pytest.raises(ValidationError, match="not orthonormal"):
+                entry(state, basis)
+        else:
+            entry(state, basis)
+
+
+@pytest.mark.parametrize("entry", _BASIS_ENTRIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "kets",
+    [[[1, 0], [1, 0]], [[2, 0], [0, 1]], [[np.nan, 0], [0, 1]]],
+    ids=["repeated", "diag(2,1)", "nan"],
+)
+def test_non_orthonormal_basis_is_refused(entry, kets):
+    # unchecked, diag(2, 1) gives Werner(0.5) a discord of -6.69 and a pinched trace of 8.5
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        entry(werner_two_qubit(0.5), MeasurementBasis(2, kets))
+
+
+@pytest.mark.parametrize("entry", _BASIS_ENTRIES, ids=lambda f: f.__name__)
+def test_basis_of_the_wrong_dimension_is_refused(entry):
+    with pytest.raises(DimensionMismatchError):
+        entry(werner_two_qubit(0.5), MeasurementBasis(3, np.eye(3)))
 
 
 def _bloch_projector(n, sign):
@@ -249,7 +272,7 @@ def test_discord_at_product_state_marginal_basis_is_zero():
     a = random_density(2, seed=83)
     state = product_state(a, random_density(3, seed=84))
     _, u = np.linalg.eigh(a)
-    basis = MeasurementBasis.from_unitary(u)
+    basis = MeasurementBasis(2, u.T)
     assert abs(affinity_discord_at(state, basis)) < 1e-12
 
 
@@ -263,7 +286,7 @@ def test_discord_at_bell_state_computational():
 def test_discord_at_maximally_mixed_any_basis():
     state = validate(np.eye(4) / 4.0, 2, 2)
     for seed in (85, 86):
-        basis = MeasurementBasis.from_unitary(linalg.haar_unitary(2, seed))
+        basis = MeasurementBasis(2, linalg.haar_unitary(2, seed).T)
         assert abs(affinity_discord_at(state, basis)) < 1e-12
 
 
@@ -300,7 +323,7 @@ def test_functionals_equal_explicit_pinching_distances(dim_a, dim_b, data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rank = data.draw(st.integers(1, dim_a * dim_b), label="rank")
     state = random_state(dim_a, dim_b, rank=rank, seed=seed)
-    basis = MeasurementBasis.from_unitary(linalg.haar_unitary(dim_a, seed))
+    basis = MeasurementBasis(dim_a, linalg.haar_unitary(dim_a, seed).T)
     eye_b = np.eye(dim_b)
 
     def pinching_distance(x):
@@ -323,7 +346,7 @@ def test_qubit_overlap_is_the_bloch_form(dim_b, data):
     rank = data.draw(st.integers(1, 2 * dim_b), label="rank")
     dim_a = data.draw(st.integers(3, 5), label="dim_a")
     state = random_state(2, dim_b, rank=rank, seed=seed)
-    basis = MeasurementBasis.from_unitary(linalg.haar_unitary(2, seed))
+    basis = MeasurementBasis(2, linalg.haar_unitary(2, seed).T)
     n = np.array([np.real(np.trace(basis.projectors[0] @ p)) for p in linalg.PAULI])
     cases = [
         (measures._overlap_kernel(s, 2, dim_b), np.eye(2))
@@ -456,8 +479,11 @@ def test_pure_discord_unbalanced():
 def test_pure_discord_bounded_by_dimension():
     for seed in range(5):
         psi = random_pure_state(3, 3, seed=seed)
-        val = pure_discord(psi).value
-        assert -1e-8 <= val <= 2.0 / 3.0 + 1e-8
+        res = pure_discord(psi)
+        assert -1e-8 <= res.value <= 2.0 / 3.0 + 1e-8
+        # the Schmidt basis passes the orthonormality gate and attains the value
+        attained = affinity_discord_at(psi.to_density(), res.optimal_measurement)
+        assert attained == pytest.approx(res.value, abs=1e-12)
 
 
 # --- optimizers -------------------------------------------------------------------
@@ -468,7 +494,9 @@ def test_optimize_affinity_werner_endpoint():
     assert res.value == pytest.approx(0.5, abs=1e-12)
     assert res.method == "optimized-local"
     assert res.evaluations > 0
-    res.optimal_measurement.check()
+    assert affinity_discord_at(werner_two_qubit(1.0), res.optimal_measurement) == pytest.approx(
+        res.value, abs=1e-12
+    )
 
 
 def test_optimize_affinity_matches_bell_diagonal_formula():
@@ -682,8 +710,6 @@ def test_remedied_pure_state_matches_hs():
 
 def test_remedied_invariant_under_ancilla():
     state = random_state(2, 2, rank=2, seed=101)
-    from affinity_discord.states import append_ancilla
-
     enlarged = append_ancilla(state, np.eye(2) / 2.0)
     before = remedied_hs_discord(state, seed=14).value
     after = remedied_hs_discord(enlarged, seed=14).value
@@ -710,11 +736,16 @@ def test_local_unitary_invariance_of_optimum():
     assert abs(a - b) < 2e-5
 
 
-def test_ancilla_behavior_report_values():
+def test_ancilla_keeps_affinity_and_scales_hs():
     state = werner_two_qubit(1.0)
-    report = ancilla_behavior_report(state, np.diag([0.9, 0.1]).astype(complex), seed=16)
-    assert report.sigma_purity == pytest.approx(0.82, abs=1e-12)
-    assert report.affinity_after == pytest.approx(report.affinity_before, abs=2e-5)
-    assert report.hs_after == pytest.approx(report.hs_before * 0.82, abs=2e-5)
-    assert report.affinity_before == pytest.approx(0.5, abs=1e-5)
-    assert report.hs_before == pytest.approx(0.5, abs=1e-5)
+    sigma = np.diag([0.9, 0.1]).astype(complex)
+    enlarged = append_ancilla(state, sigma)
+    affinity_before = optimize_affinity_discord(state, seed=16).value
+    affinity_after = optimize_affinity_discord(enlarged, seed=16).value
+    hs_before = optimize_hs_discord(state, seed=16).value
+    hs_after = optimize_hs_discord(enlarged, seed=16).value
+    assert linalg.frobenius_norm_sq(sigma) == pytest.approx(0.82, abs=1e-12)
+    assert affinity_after == pytest.approx(affinity_before, abs=2e-5)
+    assert hs_after == pytest.approx(hs_before * 0.82, abs=2e-5)
+    assert affinity_before == pytest.approx(0.5, abs=1e-5)
+    assert hs_before == pytest.approx(0.5, abs=1e-5)

@@ -5,7 +5,6 @@ import types
 import affinity_discord
 
 PUBLIC_API = [
-    "AncillaReport",
     "BipartiteState",
     "CHECK_NAMES",
     "CheckResult",
@@ -28,7 +27,6 @@ PUBLIC_API = [
     "affinity",
     "affinity_discord_at",
     "affinity_metric",
-    "ancilla_behavior_report",
     "append_ancilla",
     "bell_diagonal",
     "bell_diagonal_discord",

@@ -268,6 +268,16 @@ def test_pure_state_requires_unit_norm():
         PureState(2, 2, np.array([1.0, 1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("factor,raises", [(0.5, False), (2.0, True)])
+def test_pure_state_norm_gate_sits_at_its_bound(factor, raises):
+    amps = np.array([1.0 + factor * 1e-12, 0.0, 0.0, 0.0])
+    if raises:
+        with pytest.raises(ValidationError, match="norm"):
+            PureState(2, 2, amps)
+    else:
+        PureState(2, 2, amps)
+
+
 def test_schmidt_product_and_entangled():
     prod = PureState(2, 2, np.array([1.0, 0.0, 0.0, 0.0]))
     assert np.allclose(schmidt_spectrum(prod), [1.0, 0.0])
