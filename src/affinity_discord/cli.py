@@ -32,7 +32,6 @@ from .measures import (
     remedied_hs_discord,
 )
 from .states import BipartiteState, PureState, load_state, schmidt_spectrum
-from .tolerances import PURITY_PREFILTER
 from .verification import CHECK_NAMES, run_checks
 
 _BOUND_MAX_DIM = 64  # only --method bound computes the spectral bound for larger systems
@@ -73,13 +72,11 @@ def _measurement_payload(result: DiscordResult):
 
 
 def _as_pure(state: BipartiteState) -> PureState | None:
-    """The state as a pure state when one eigenvalue survives the square root's snap, else None."""
-    # One surviving eigenvalue forces purity >= (1 - 2 d^2 eps) Tr(rho)^2, above
-    # this cut for d <= 4096, so the purity test is a necessary condition that
-    # spares mixed states the eigh.
-    if state.purity() < 1.0 - PURITY_PREFILTER:
-        return None
-    w, v = np.linalg.eigh(state.rho)
+    """The state as a pure state when one eigenvalue survives the square root's snap, else None.
+
+    Reads the eigendecomposition that ``validate`` kept on the loaded state.
+    """
+    w, v = state.eigh
     if np.count_nonzero(linalg.snap_spectrum(w)) != 1:
         return None
     amps = v[:, -1]

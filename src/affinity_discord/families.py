@@ -14,7 +14,12 @@ import numpy as np
 
 from . import linalg, states
 from .errors import OutOfRangeError, UnknownFamilyError
-from .measures import _require_optimizable, optimize_affinity_discord, optimize_hs_discord
+from .measures import (
+    _require_optimizable,
+    _require_seed,
+    optimize_affinity_discord,
+    optimize_hs_discord,
+)
 from .states import (
     BipartiteState,
     bell_diagonal,
@@ -151,6 +156,7 @@ def sweep(
             raise UnknownFamilyError(f"unknown measure {measure!r}; choose from {MEASURES}")
     if (dim is None) == (family in ("werner", "isotropic")):
         raise OutOfRangeError(f"family {family!r}: only werner and isotropic take dim, and need it")
+    _require_seed(seed)
     if dim is not None:
         _require_optimizable(dim)
     rows: list[SweepRow] = []

@@ -45,13 +45,16 @@ def require_hermitian(m, rtol: float) -> np.ndarray:
     return (arr + arr.conj().T) / 2.0
 
 
-def matrix_sqrt_psd(m) -> np.ndarray:
+def matrix_sqrt_psd(m, eigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``[-PSD_EPSILON, 0)`` are treated as round-off and clamped
-    to zero before the square root; anything more negative is an error.
+    ``eigh`` is ``(w, v)``, an eigendecomposition of ``m`` that the caller
+    already holds (a validated state's, from ``states.validate``); without it,
+    ``m`` passes the ``HERMITICITY`` gate and is factored here. Eigenvalues in
+    ``[-PSD_EPSILON, 0)`` are treated as round-off and clamped to zero before
+    the square root; anything more negative is an error.
     """
-    w, v = np.linalg.eigh(require_hermitian(m, HERMITICITY))
+    w, v = np.linalg.eigh(require_hermitian(m, HERMITICITY)) if eigh is None else eigh
     if w.size and w[0] < -PSD_EPSILON:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{PSD_EPSILON:.1e}")
     return (v * np.sqrt(snap_spectrum(w))) @ v.conj().T

@@ -154,6 +154,11 @@ def _density_of(x) -> np.ndarray:
     return linalg.as_matrix(x)
 
 
+def _sqrt_of(x, mat: np.ndarray) -> np.ndarray:
+    """sqrt of ``mat``, the density of ``x``; a state's own ``sqrt`` reads its kept eigh."""
+    return x.sqrt() if isinstance(x, BipartiteState) else linalg.matrix_sqrt_psd(mat)
+
+
 def affinity(rho, sigma) -> float:
     """Affinity Tr(sqrt(rho) sqrt(sigma)) between two density matrices.
 
@@ -164,8 +169,8 @@ def affinity(rho, sigma) -> float:
     b = _density_of(sigma)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    sa = linalg.matrix_sqrt_psd(a)
-    sb = linalg.matrix_sqrt_psd(b)
+    sa = _sqrt_of(rho, a)
+    sb = _sqrt_of(sigma, b)
     val = float(np.real(np.trace(sa @ sb)))
     return float(np.clip(val, 0.0, 1.0))
 
@@ -316,8 +321,14 @@ def _require_budget(budget: int | None) -> int:
 
 
 def _require_seed(seed) -> None:
-    """Refuse a negative integer seed; an int, a numpy integer or a SeedSequence passes."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """Pass a non-negative int or numpy integer (not a bool) or a SeedSequence; refuse the rest."""
+    if isinstance(seed, np.random.SeedSequence):
+        return
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(
+            f"seed must be a non-negative integer or a SeedSequence, got {seed!r}"
+        )
+    if seed < 0:
         raise OutOfRangeError(f"seed must be non-negative, got {seed}")
 
 

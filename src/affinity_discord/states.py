@@ -4,12 +4,14 @@ A ``BipartiteState`` is a density matrix tagged with its subsystem
 dimensions ``(dim_a, dim_b)``. All constructors route their output through
 :func:`validate`, so every state object in circulation is Hermitian, unit
 trace, and positive semidefinite within the fixed gates of ``tolerances``.
+``validate`` factors the matrix once and keeps the eigendecomposition on the
+state, where the square root and the pure-state test read it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,11 +30,19 @@ from .tolerances import DOMAIN_SLACK, PSD_EPSILON, STATE_HERMITICITY, UNIT_NORM,
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Validated density matrix on a dim_a x dim_b bipartite system."""
+    """Validated density matrix on a dim_a x dim_b bipartite system.
+
+    ``eigh`` is ``(w, v)``, read-only, from :func:`validate`'s eigendecomposition
+    of ``rho``; it is None for a state built directly, whose square root then
+    gates and factors ``rho`` itself.
+    """
 
     dim_a: int
     dim_b: int
     rho: np.ndarray
+    eigh: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=np.complex128)
@@ -52,8 +62,8 @@ class BipartiteState:
         return linalg.partial_trace(self.rho, self.dim_a, self.dim_b, keep=keep)
 
     def sqrt(self) -> np.ndarray:
-        """Hermitian square root of the density matrix."""
-        return linalg.matrix_sqrt_psd(self.rho)
+        """Hermitian square root of the density matrix, from the kept ``eigh`` when there is one."""
+        return linalg.matrix_sqrt_psd(self.rho, self.eigh)
 
 
 @dataclass(frozen=True)
@@ -82,23 +92,25 @@ class PureState:
         return validate(rho, self.dim_a, self.dim_b)
 
 
-def _require_density(mat, what: str = "matrix") -> np.ndarray:
-    """Gate an arbitrary matrix as a density matrix; returns the symmetrized array."""
+def _require_density(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate an arbitrary matrix as a density matrix; returns the symmetrized array and its eigh."""
     sym = linalg.require_hermitian(mat, STATE_HERMITICITY)
-    eigs = np.linalg.eigvalsh(sym)
-    if eigs.size and eigs[0] < -PSD_EPSILON:
-        raise NotPSDError(f"{what} has eigenvalue {eigs[0]:.3e} below -{PSD_EPSILON:.1e}")
+    w, v = np.linalg.eigh(sym)
+    if w.size and w[0] < -PSD_EPSILON:
+        raise NotPSDError(f"{what} has eigenvalue {w[0]:.3e} below -{PSD_EPSILON:.1e}")
     trace = float(np.real(np.trace(sym)))
     if abs(trace - 1.0) > UNIT_TRACE:
         raise NotUnitTraceError(f"{what} has trace {trace!r}, expected 1")
-    return sym
+    return sym, w, v
 
 
 def validate(rho, dim_a: int, dim_b: int) -> BipartiteState:
     """Check finiteness, Hermiticity, positivity, and unit trace; return the tagged state.
 
     Eigenvalues in ``[-PSD_EPSILON, 0)`` are tolerated here and clamped later
-    wherever a square root is taken.
+    wherever a square root is taken. The symmetrized matrix is exactly Hermitian,
+    so its eigendecomposition, kept read-only as the state's ``eigh``, is the one
+    that ``matrix_sqrt_psd`` would compute from it.
     """
     arr = linalg.as_matrix(rho)
     if dim_a < 1 or dim_b < 1 or arr.shape[0] != dim_a * dim_b:
@@ -107,8 +119,12 @@ def validate(rho, dim_a: int, dim_b: int) -> BipartiteState:
         )
     if not np.all(np.isfinite(arr)):
         raise ValidationError("state has non-finite (NaN or Inf) entries")
-    sym = _require_density(arr, what="state")
-    return BipartiteState(dim_a, dim_b, sym)
+    sym, w, v = _require_density(arr, what="state")
+    state = BipartiteState(dim_a, dim_b, sym)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    object.__setattr__(state, "eigh", (w, v))
+    return state
 
 
 def bell_state(a: int, b: int) -> PureState:
@@ -223,7 +239,7 @@ def classical_quantum(probs, states_b) -> BipartiteState:
         )
     if p.size == 0 or np.min(p) < -DOMAIN_SLACK or abs(float(np.sum(p)) - 1.0) > UNIT_TRACE:
         raise InvalidProbabilitiesError(f"probabilities {p.tolist()} are not a distribution")
-    blocks = [_require_density(s, what=f"conditional state {k}") for k, s in enumerate(states_b)]
+    blocks = [_require_density(s, what=f"conditional state {k}")[0] for k, s in enumerate(states_b)]
     dim_b = blocks[0].shape[0]
     if any(b.shape[0] != dim_b for b in blocks):
         raise DimensionMismatchError("conditional states have mixed dimensions")
@@ -236,14 +252,14 @@ def classical_quantum(probs, states_b) -> BipartiteState:
 
 def product_state(rho_a, rho_b) -> BipartiteState:
     """Uncorrelated state rho_a x rho_b."""
-    a = _require_density(rho_a, what="party-A state")
-    b = _require_density(rho_b, what="party-B state")
+    a = _require_density(rho_a, what="party-A state")[0]
+    b = _require_density(rho_b, what="party-B state")[0]
     return validate(np.kron(a, b), a.shape[0], b.shape[0])
 
 
 def append_ancilla(state: BipartiteState, sigma) -> BipartiteState:
     """Enlarge the unmeasured party: rho x sigma with B' = B x C."""
-    anc = _require_density(sigma, what="ancilla")
+    anc = _require_density(sigma, what="ancilla")[0]
     rho = np.kron(state.rho, anc)
     return validate(rho, state.dim_a, state.dim_b * anc.shape[0])
 

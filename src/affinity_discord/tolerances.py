@@ -15,7 +15,5 @@ UNIT_NORM = 1e-12
 # Derived-quantity gates.
 GAMMA_IMAG = 1e-10
 PROJECTOR_TOLERANCE = 1e-10
-# Fast-path cut: compute tries the pure closed form only above purity 1 - PURITY_PREFILTER.
-PURITY_PREFILTER = 1e-8
 # Optimizer stopping rule.
 OPTIMIZER_REL_IMPROVEMENT = 1e-10

@@ -1,5 +1,7 @@
 """Tests for affinity, pinching, discord functionals, and the optimizers."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from affinity_discord.errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from affinity_discord.families import bell_diagonal_discord
+from affinity_discord.families import bell_diagonal_discord, sweep
 from affinity_discord.measures import (
     MeasurementBasis,
     affinity,
@@ -638,7 +640,16 @@ def test_spectral_bound_and_one_bracket_the_optimized_value(dim_a, dim_b, data):
     # m >= 4 runs the full 64-start search (0.03-0.32 s a call); the bound needs no optimizer
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rank = data.draw(st.integers(1, dim_a * dim_b), label="rank")
-    state = random_state(dim_a, dim_b, rank=rank, seed=seed)
+    _assert_bracketed(random_state(dim_a, dim_b, rank=rank, seed=seed))
+
+
+@pytest.mark.parametrize("dim_a, seed", [(7, 1), (8, 0)])
+def test_spectral_bound_and_one_bracket_the_optimized_value_at_m7_and_m8(dim_a, seed):
+    # the top of the claimed range, where the search costs 0.4-0.7 s a call
+    _assert_bracketed(random_state(dim_a, 2, seed=seed))
+
+
+def _assert_bracketed(state):
     slack = DEFAULT_CHECK_TOLERANCES["bound_slack"]
     value = optimize_affinity_discord(state).value
     assert lower_bound(state) <= value + slack
@@ -661,6 +672,25 @@ def test_optimize_rejects_a_negative_seed(dim_a, seed):
     for optimizer in (optimize_affinity_discord, optimize_hs_discord, remedied_hs_discord):
         with pytest.raises(OutOfRangeError, match="seed must be non-negative"):
             optimizer(state, seed=seed)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [None, 1.5, np.float64(2.0), "a", [1, 2], True, np.bool_(True)],
+    ids=["None", "float", "np.float64", "str", "list", "bool", "np.bool_"],
+)
+@pytest.mark.parametrize("dim_a", [2, 3])
+def test_optimize_and_sweep_refuse_a_seed_of_another_type(dim_a, seed):
+    # one rule at every dim_a: a two-level A draws no random start, and at dim_a = 3
+    # numpy would raise its own TypeError or draw fresh entropy for None
+    state = random_state(dim_a, 2, seed=1)
+    optimizers = (optimize_affinity_discord, optimize_hs_discord, remedied_hs_discord)
+    runs = [functools.partial(opt, state, seed=seed) for opt in optimizers]
+    runs.append(functools.partial(sweep, "werner", [0.5], dim=dim_a, seed=seed))
+    for run in runs:
+        with pytest.raises(ValidationError, match="seed must be") as excinfo:
+            run()
+        assert excinfo.type is ValidationError
 
 
 def test_one_level_a_takes_the_local_route():
