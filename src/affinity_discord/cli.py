@@ -31,7 +31,7 @@ from .measures import (
     pure_discord,
     remedied_hs_discord,
 )
-from .states import BipartiteState, PureState, load_state, schmidt_spectrum
+from .states import BipartiteState, PureState, _require_int, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
 _BOUND_MAX_DIM = 64  # only --method bound computes the spectral bound for larger systems
@@ -160,8 +160,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.steps < 1:
-        raise ValidationError(f"--steps must be positive, got {args.steps}")
+    _require_int(args.steps, "--steps", 1)
     if args.start > args.stop:
         raise ValidationError(f"--from {args.start} exceeds --to {args.stop}")
     params = np.linspace(args.start, args.stop, args.steps)

@@ -22,6 +22,7 @@ from .measures import (
 )
 from .states import (
     BipartiteState,
+    _require_int,
     bell_diagonal,
     bell_diagonal_weights,
     isotropic,
@@ -129,10 +130,10 @@ def _family_point(
     if family == "belldiag":
         c = tuple(float(x) for x in param)
         return bell_diagonal(*c), lambda: (bell_diagonal_discord(*c), bell_diagonal_hs_discord(*c))
-    m, x = int(dim), float(param)
+    x = float(param)
     if family == "werner":
-        return werner_general(m, x), lambda: werner_general_discords(m, x)
-    return isotropic(m, x), lambda: isotropic_discords(m, x)
+        return werner_general(dim, x), lambda: werner_general_discords(dim, x)
+    return isotropic(dim, x), lambda: isotropic_discords(dim, x)
 
 
 def sweep(
@@ -145,9 +146,9 @@ def sweep(
 ) -> list[SweepRow]:
     """Tabulate analytic vs optimized discord over a parameter grid.
 
-    ``dim`` is m for werner and isotropic (refused above the optimizer's cap before
-    any state is built), and must be left out for werner2 and belldiag. Rows are
-    ordered by grid index then measure; for a fixed seed the output is deterministic.
+    ``dim`` is m for werner and isotropic (an integer from 2 to the optimizer's cap,
+    checked before any state is built), and must be left out for werner2 and belldiag.
+    Rows are ordered by grid index then measure; for a fixed seed the output is deterministic.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -158,7 +159,7 @@ def sweep(
         raise OutOfRangeError(f"family {family!r}: only werner and isotropic take dim, and need it")
     _require_seed(seed)
     if dim is not None:
-        _require_optimizable(dim)
+        _require_optimizable(_require_int(dim, "dim", 2))
     rows: list[SweepRow] = []
     for param in params:
         state, oracle = _family_point(family, param, dim)

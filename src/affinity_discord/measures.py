@@ -36,11 +36,10 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
-    OutOfRangeError,
     UnsupportedDimensionError,
     ValidationError,
 )
-from .states import BipartiteState, PureState
+from .states import BipartiteState, PureState, _require_int
 from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 
 MAX_OPT_DIM = 8
@@ -313,23 +312,14 @@ def _maximize(
 
 
 def _require_budget(budget: int | None) -> int:
-    """The pair-step budget, ``BUDGET_DEFAULT`` for None; below 1 is refused."""
-    budget = BUDGET_DEFAULT if budget is None else budget
-    if budget < 1:
-        raise OutOfRangeError(f"budget must be at least 1, got {budget}")
-    return budget
+    """The pair-step budget, ``BUDGET_DEFAULT`` for None; else an integer of at least 1."""
+    return BUDGET_DEFAULT if budget is None else _require_int(budget, "budget", 1)
 
 
 def _require_seed(seed) -> None:
-    """Pass a non-negative int or numpy integer (not a bool) or a SeedSequence; refuse the rest."""
-    if isinstance(seed, np.random.SeedSequence):
-        return
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError(
-            f"seed must be a non-negative integer or a SeedSequence, got {seed!r}"
-        )
-    if seed < 0:
-        raise OutOfRangeError(f"seed must be non-negative, got {seed}")
+    """Pass a SeedSequence or a non-negative int or numpy integer (not a bool); refuse the rest."""
+    if not isinstance(seed, np.random.SeedSequence):
+        _require_int(seed, "seed", 0)
 
 
 def _require_optimizable(dim_a: int) -> None:

@@ -76,7 +76,7 @@ class PureState:
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128).ravel()
-        if amps.size != self.dim_a * self.dim_b:
+        if amps.size != _require_int(self.dim_a, "dim_a", 1) * _require_int(self.dim_b, "dim_b", 1):
             raise DimensionMismatchError(
                 f"amplitude vector of length {amps.size} does not factor as "
                 f"{self.dim_a} x {self.dim_b}"
@@ -92,6 +92,16 @@ class PureState:
         return validate(rho, self.dim_a, self.dim_b)
 
 
+def _require_int(value, name: str, low: int) -> int:
+    """``value`` as an int: an int or numpy integer, not a bool, and at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise OutOfRangeError(f"{name} must be {bound}, got {value}")
+    return int(value)
+
+
 def _require_density(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate an arbitrary matrix as a density matrix; returns the symmetrized array and its eigh."""
     sym = linalg.require_hermitian(mat, STATE_HERMITICITY)
@@ -105,15 +115,16 @@ def _require_density(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray,
 
 
 def validate(rho, dim_a: int, dim_b: int) -> BipartiteState:
-    """Check finiteness, Hermiticity, positivity, and unit trace; return the tagged state.
+    """Check the dimensions, finiteness, Hermiticity, positivity and unit trace; tag the state.
 
     Eigenvalues in ``[-PSD_EPSILON, 0)`` are tolerated here and clamped later
     wherever a square root is taken. The symmetrized matrix is exactly Hermitian,
     so its eigendecomposition, kept read-only as the state's ``eigh``, is the one
     that ``matrix_sqrt_psd`` would compute from it.
     """
+    dim_a, dim_b = _require_int(dim_a, "dim_a", 1), _require_int(dim_b, "dim_b", 1)
     arr = linalg.as_matrix(rho)
-    if dim_a < 1 or dim_b < 1 or arr.shape[0] != dim_a * dim_b:
+    if arr.shape[0] != dim_a * dim_b:
         raise DimensionMismatchError(
             f"matrix of size {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
@@ -145,9 +156,9 @@ def bell_diagonal_weights(c1: float, c2: float, c3: float) -> np.ndarray:
         (1 - c1 + c2 + c3) / 4.0,
         (1 - c1 - c2 - c3) / 4.0,
     ]
-    if min(lams) < -DOMAIN_SLACK:
+    if not all(lam >= -DOMAIN_SLACK for lam in lams):  # a NaN weight fails too
         raise InvalidBlochVectorError(
-            f"correlation triple ({c1}, {c2}, {c3}) gives negative weight {min(lams):.3e}"
+            f"correlation triple ({c1}, {c2}, {c3}) gives Bell weights {lams}, not all >= 0"
         )
     return np.array(lams)
 
@@ -168,15 +179,13 @@ def _require_werner2(p: float) -> None:
 
 
 def _require_werner(m: int, x: float) -> None:
-    if m < 2:
-        raise OutOfRangeError(f"Werner dimension m={m} must be at least 2")
+    _require_int(m, "Werner dimension m", 2)
     if not (-1.0 - DOMAIN_SLACK <= x <= 1.0 + DOMAIN_SLACK):
         raise OutOfRangeError(f"Werner parameter x={x} outside [-1, 1]")
 
 
 def _require_isotropic(m: int, x: float) -> None:
-    if m < 2:
-        raise OutOfRangeError(f"isotropic dimension m={m} must be at least 2")
+    _require_int(m, "isotropic dimension m", 2)
     if not (-DOMAIN_SLACK <= x <= 1.0 + DOMAIN_SLACK):
         raise OutOfRangeError(f"isotropic parameter x={x} outside [0, 1]")
 
@@ -208,8 +217,7 @@ def werner_general(m: int, x: float) -> BipartiteState:
 
 def maximally_entangled(m: int) -> PureState:
     """Uniform-amplitude entangled state sum_i |ii> / sqrt(m)."""
-    if m < 1:
-        raise OutOfRangeError("dimension must be positive")
+    _require_int(m, "dimension m", 1)
     amps = np.zeros(m * m, dtype=np.complex128)
     amps[:: m + 1] = 1.0 / np.sqrt(m)
     return PureState(m, m, amps)
@@ -237,7 +245,8 @@ def classical_quantum(probs, states_b) -> BipartiteState:
         raise DimensionMismatchError(
             f"{p.size} probabilities but {len(states_b)} conditional states"
         )
-    if p.size == 0 or np.min(p) < -DOMAIN_SLACK or abs(float(np.sum(p)) - 1.0) > UNIT_TRACE:
+    # negated comparisons, so that a NaN probability is refused here
+    if p.size == 0 or not (np.min(p) >= -DOMAIN_SLACK and abs(np.sum(p) - 1.0) <= UNIT_TRACE):
         raise InvalidProbabilitiesError(f"probabilities {p.tolist()} are not a distribution")
     blocks = [_require_density(s, what=f"conditional state {k}")[0] for k, s in enumerate(states_b)]
     dim_b = blocks[0].shape[0]
@@ -273,10 +282,11 @@ def schmidt_spectrum(psi: PureState) -> np.ndarray:
 
 def random_density(dim: int, rank: int | None = None, seed=None) -> np.ndarray:
     """Random density matrix from the Ginibre ensemble, rho = G G^dagger / Tr."""
-    rng = np.random.default_rng(seed)
-    rank = dim if rank is None else rank
-    if not (1 <= rank <= dim):
+    dim = _require_int(dim, "dim", 1)
+    rank = dim if rank is None else _require_int(rank, "rank", 1)
+    if rank > dim:  # the bound is the dimension, not a constant
         raise OutOfRangeError(f"rank {rank} outside [1, {dim}]")
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     return rho / np.real(np.trace(rho))
@@ -284,13 +294,14 @@ def random_density(dim: int, rank: int | None = None, seed=None) -> np.ndarray:
 
 def random_state(dim_a: int, dim_b: int, rank: int | None = None, seed=None) -> BipartiteState:
     """Seeded random bipartite state of the given rank (Ginibre-induced measure)."""
-    return validate(random_density(dim_a * dim_b, rank, seed), dim_a, dim_b)
+    dim = _require_int(dim_a, "dim_a", 1) * _require_int(dim_b, "dim_b", 1)
+    return validate(random_density(dim, rank, seed), dim_a, dim_b)
 
 
 def random_pure_state(dim_a: int, dim_b: int, seed=None) -> PureState:
     """Seeded Haar-random bipartite pure state."""
+    dim = _require_int(dim_a, "dim_a", 1) * _require_int(dim_b, "dim_b", 1)
     rng = np.random.default_rng(seed)
-    dim = dim_a * dim_b
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(dim_a, dim_b, amps / np.linalg.norm(amps))
 
@@ -318,8 +329,6 @@ def state_from_json(text: str) -> BipartiteState:
     try:
         doc = json.loads(text)
         dim_a, dim_b = doc["dim_a"], doc["dim_b"]
-        if type(dim_a) is not int or type(dim_b) is not int:  # 2.7 or true must not truncate
-            raise ValidationError(f"dimensions must be integers, got {dim_a!r} x {dim_b!r}")
         matrix = doc["matrix"]
         vals = [x for row in matrix for cell in row for x in (cell["re"], cell["im"])]
         if not set(map(type, vals)) <= {float, int}:  # true must not read as 1

@@ -303,11 +303,14 @@ def test_sweep_werner2_fig_data(tmp_path, capsys):
 
 
 def test_sweep_bad_grid_exits_2(capsys):
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys,
         "sweep", "--family", "werner2", "--from", "0", "--to", "1", "--steps", "0",
     )
     assert code == 2
+    assert json.loads(err) == {
+        "error": "OutOfRangeError", "message": "--steps must be at least 1, got 0"
+    }
 
 
 def test_sweep_json_rows_are_the_library_rows(capsys):

@@ -232,7 +232,7 @@ _DOMAINS = {
     "belldiag": (
         bell_diagonal, (bell_diagonal_discord, bell_diagonal_hs_discord), InvalidBlochVectorError,
         [_triple_with_weight(-d, k) for d in (_IN, _FORGIVEN) for k in range(4)],
-        [_triple_with_weight(-_OUT, k) for k in range(4)],
+        [_triple_with_weight(-_OUT, k) for k in range(4)] + [(np.nan, 0.0, 0.0)],
     ),
 }
 

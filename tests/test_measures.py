@@ -664,6 +664,21 @@ def test_optimize_rejects_budget_below_one(budget):
             optimizer(state, budget=budget)
 
 
+@pytest.mark.parametrize(
+    "budget", [True, 2.5, np.float64(3.0)], ids=["bool", "float", "np.float64"]
+)
+def test_optimize_and_sweep_refuse_a_budget_of_another_type(budget):
+    # unchecked, a bool would run one step and a numpy float fail in numpy's slicing
+    state = random_state(4, 2, seed=97)
+    optimizers = (optimize_affinity_discord, optimize_hs_discord, remedied_hs_discord)
+    runs = [functools.partial(opt, state, budget=budget) for opt in optimizers]
+    runs.append(functools.partial(sweep, "werner", [0.5], dim=3, budget=budget))
+    for run in runs:
+        with pytest.raises(ValidationError, match="budget must be") as excinfo:
+            run()
+        assert excinfo.type is ValidationError
+
+
 @pytest.mark.parametrize("seed", [-3, np.int64(-1)], ids=["int", "np.int64"])
 @pytest.mark.parametrize("dim_a", [2, 3])
 def test_optimize_rejects_a_negative_seed(dim_a, seed):

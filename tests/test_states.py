@@ -14,6 +14,7 @@ from affinity_discord.errors import (
     OutOfRangeError,
     ValidationError,
 )
+from affinity_discord.families import isotropic_discords, sweep, werner_general_discords
 from affinity_discord.states import (
     BipartiteState,
     append_ancilla,
@@ -233,6 +234,8 @@ def test_classical_quantum_classically_correlated():
 def test_classical_quantum_rejects_bad_probs():
     with pytest.raises(InvalidProbabilitiesError):
         classical_quantum([0.7, 0.7], [np.eye(2) / 2.0] * 2)
+    with pytest.raises(InvalidProbabilitiesError):  # NaN fails every comparison
+        classical_quantum([np.nan, 1.0], [np.eye(2) / 2.0] * 2)
 
 
 def test_append_ancilla_scalar_is_identity_map():
@@ -415,3 +418,55 @@ def test_json_reader_rejects_non_integer_dimensions(dim_a, value):
     text = text.replace(f'"dim_a": {dim_a}', f'"dim_a": {value}')
     with pytest.raises(ValidationError):
         state_from_json(text)
+
+
+# --- integer arguments ----------------------------------------------------------------
+
+_AMPS6 = np.ones(6) / np.sqrt(6.0)
+# each site of the integer rule: (a call of the integer argument, the value just below its bound)
+_INTEGER_SITES = {
+    "validate.dim_a": (lambda v: validate(np.eye(6) / 6.0, v, 2), 0),
+    "validate.dim_b": (lambda v: validate(np.eye(6) / 6.0, 2, v), 0),
+    "PureState.dim_a": (lambda v: PureState(v, 2, _AMPS6), 0),
+    "PureState.dim_b": (lambda v: PureState(2, v, _AMPS6), 0),
+    "random_density.dim": (lambda v: random_density(v, seed=1), 0),
+    "random_density.rank": (lambda v: random_density(4, rank=v, seed=1), 0),
+    "random_state.dim_a": (lambda v: random_state(v, 2, seed=1), 0),
+    "random_state.dim_b": (lambda v: random_state(2, v, seed=1), 0),
+    "random_pure_state.dim_a": (lambda v: random_pure_state(v, 2, seed=1), 0),
+    "random_pure_state.dim_b": (lambda v: random_pure_state(2, v, seed=1), 0),
+    "maximally_entangled": (maximally_entangled, 0),
+    "werner_general": (lambda v: werner_general(v, 0.3), 1),
+    "werner_general_discords": (lambda v: werner_general_discords(v, 0.3), 1),
+    "isotropic": (lambda v: isotropic(v, 0.3), 1),
+    "isotropic_discords": (lambda v: isotropic_discords(v, 0.3), 1),
+    "sweep.dim": (lambda v: sweep("werner", [0.3], dim=v), 1),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [True, 2.5, np.float64(3.0), "3"], ids=["bool", "float", "np.float64", "str"]
+)
+@pytest.mark.parametrize("site", list(_INTEGER_SITES))
+def test_integer_arguments_refuse_another_type(site, value):
+    # a float that casts to a fitting int, a bool and a string are all refused the same way
+    call, _ = _INTEGER_SITES[site]
+    with pytest.raises(ValidationError, match="must be an integer") as excinfo:
+        call(value)
+    assert excinfo.type is ValidationError
+
+
+@pytest.mark.parametrize("site", list(_INTEGER_SITES))
+def test_integer_arguments_refuse_a_value_below_their_bound(site):
+    call, below = _INTEGER_SITES[site]
+    with pytest.raises(OutOfRangeError, match="must be"):
+        call(below)
+    with pytest.raises(OutOfRangeError):
+        call(np.int64(below))
+
+
+def test_integer_arguments_accept_numpy_integers():
+    state = validate(np.eye(6) / 6.0, np.int64(3), np.int32(2))
+    assert (state.dim_a, state.dim_b) == (3, 2) and type(state.dim_b) is int
+    assert werner_general(np.int64(3), 0.3).dim_a == 3
+    assert random_density(np.int64(3), rank=np.int8(2), seed=1).shape == (3, 3)
