@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .correlation import closed_form_2xn, lower_bound
-from .errors import UnsupportedDimensionError, ValidationError
+from .errors import UnsupportedDimensionError, ValidationError, _require_int
 from .families import MEASURES, sweep, sweep_to_csv
 from .measures import (
     BUDGET_DEFAULT,
@@ -31,7 +31,7 @@ from .measures import (
     pure_discord,
     remedied_hs_discord,
 )
-from .states import BipartiteState, PureState, _require_int, load_state, schmidt_spectrum
+from .states import BipartiteState, PureState, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
 _BOUND_MAX_DIM = 64  # only --method bound computes the spectral bound for larger systems
@@ -40,20 +40,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_UNSUPPORTED = 3
-
-
-def _parse_overrides(pairs: list[str] | None) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for pair in pairs or []:
-        key, eq, value = pair.partition("=")
-        try:
-            tol = float(value)
-        except ValueError:
-            tol = np.nan  # refused below, with every other bad value
-        if not (eq and 0.0 <= tol < np.inf):
-            raise ValidationError(f"--tol-key {pair!r} is not NAME=VALUE with 0 <= VALUE < inf")
-        overrides[key.strip()] = tol
-    return overrides
 
 
 def _complex_cells(matrix: np.ndarray) -> list:
@@ -183,14 +169,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     names = args.checks.split(",") if args.checks else None
-    try:
-        results = run_checks(
-            seed=args.seed,
-            tolerance_overrides=_parse_overrides(args.tol_key),
-            names=names,
-        )
-    except KeyError as exc:
-        raise ValidationError(str(exc)) from exc
+    results = run_checks(seed=args.seed, names=names)
     lines = [json.dumps(res.to_dict(), sort_keys=True) for res in results]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY_FAILED
@@ -263,12 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--checks",
         default=None,
         help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}",
-    )
-    p_verify.add_argument(
-        "--tol-key",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a check tolerance (repeatable)",
     )
     p_verify.set_defaults(fn=cmd_verify)
     return parser

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfRangeError, ValidationError, WrongDimensionError
+from .errors import ValidationError, WrongDimensionError, _require_int
 from .measures import DiscordResult, MeasurementBasis, _qubit_kets
 from .states import BipartiteState
 from .tolerances import GAMMA_IMAG
@@ -76,7 +76,7 @@ def _gell_mann_layout(d: int) -> _Layout:
     return layout
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=2, typed=True)  # typed: 2.0 must not hit the entry of 2
 def gell_mann_basis(d: int) -> np.ndarray:
     """Generalized Gell-Mann basis, shape (d^2, d, d), unit Hilbert-Schmidt norm each.
 
@@ -87,8 +87,7 @@ def gell_mann_basis(d: int) -> np.ndarray:
     ``correlation_matrix``), so every caller shares one read-only array; copy
     it before writing.
     """
-    if d < 1:
-        raise OutOfRangeError(f"basis dimension {d} must be at least 1")
+    d = _require_int(d, "basis dimension d", 1)
     j, k, sym, asym, diag_slots = _gell_mann_layout(d)[:5]
     ops = np.zeros((d * d, d, d), dtype=np.complex128)
     ops[sym, j, k] = ops[sym, k, j] = 1.0 / np.sqrt(2.0)

@@ -1,4 +1,6 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the integer-argument rule that raises two."""
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -47,3 +49,13 @@ class UnknownFamilyError(ValidationError):
 
 class UnsupportedDimensionError(Exception):
     """Subsystem dimension exceeds what the optimizer supports."""
+
+
+def _require_int(value, name: str, low: int) -> int:
+    """``value`` as an int: an int or numpy integer, not a bool, and at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        bound = "non-negative" if low == 0 else f"at least {low}"
+        raise OutOfRangeError(f"{name} must be {bound}, got {value}")
+    return int(value)

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import linalg, states
-from .errors import OutOfRangeError, UnknownFamilyError
+from .errors import OutOfRangeError, UnknownFamilyError, _require_int
 from .measures import (
     _require_optimizable,
     _require_seed,
@@ -22,7 +22,6 @@ from .measures import (
 )
 from .states import (
     BipartiteState,
-    _require_int,
     bell_diagonal,
     bell_diagonal_weights,
     isotropic,

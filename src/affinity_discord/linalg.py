@@ -14,6 +14,7 @@ from .errors import (
     NonHermitianError,
     NonSquareError,
     NotPSDError,
+    _require_int,
 )
 from .tolerances import HERMITICITY, PSD_EPSILON
 
@@ -78,7 +79,8 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str = "a") -> np.ndarray:
     ``keep`` selects the surviving subsystem ('a' or 'b').
     """
     arr = as_matrix(m)
-    if dim_a < 1 or dim_b < 1 or arr.shape[0] != dim_a * dim_b:
+    dim_a, dim_b = _require_int(dim_a, "dim_a", 1), _require_int(dim_b, "dim_b", 1)
+    if arr.shape[0] != dim_a * dim_b:
         raise DimensionMismatchError(
             f"matrix of size {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
@@ -98,6 +100,7 @@ def frobenius_norm_sq(m) -> float:
 
 def haar_unitary(dim: int, seed=None) -> np.ndarray:
     """Haar-distributed random unitary via phase-fixed QR of a Ginibre matrix."""
+    dim = _require_int(dim, "dim", 1)
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)

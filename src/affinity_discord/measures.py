@@ -38,8 +38,9 @@ from .errors import (
     DimensionMismatchError,
     UnsupportedDimensionError,
     ValidationError,
+    _require_int,
 )
-from .states import BipartiteState, PureState, _require_int
+from .states import BipartiteState, PureState
 from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 
 MAX_OPT_DIM = 8
@@ -66,12 +67,11 @@ class MeasurementBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
+        dim = _require_int(self.dim, "dim", 1)
         vecs = np.array(self.vectors, dtype=np.complex128)
-        if self.dim < 1 or vecs.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"expected dim >= 1 and {self.dim} kets of length {self.dim}, got {vecs.shape}"
-            )
-        cut = 0.5 / self.dim**0.5  # a unit ket has a component of magnitude >= 1/sqrt(dim)
+        if vecs.shape != (dim, dim):
+            raise DimensionMismatchError(f"expected {dim} kets of length {dim}, got {vecs.shape}")
+        cut = 0.5 / dim**0.5  # a unit ket has a component of magnitude >= 1/sqrt(dim)
         kets = vecs.tolist()  # a few kets of a few components: plain Python beats numpy calls
         for ket in kets:
             for k, lead in enumerate(ket):
@@ -82,6 +82,7 @@ class MeasurementBasis:
                     break
         vecs = np.array(kets, dtype=np.complex128)
         vecs.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vectors", vecs)
 
     @property

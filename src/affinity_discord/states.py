@@ -24,6 +24,7 @@ from .errors import (
     NotUnitTraceError,
     OutOfRangeError,
     ValidationError,
+    _require_int,
 )
 from .tolerances import DOMAIN_SLACK, PSD_EPSILON, STATE_HERMITICITY, UNIT_NORM, UNIT_TRACE
 
@@ -90,16 +91,6 @@ class PureState:
     def to_density(self) -> BipartiteState:
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
         return validate(rho, self.dim_a, self.dim_b)
-
-
-def _require_int(value, name: str, low: int) -> int:
-    """``value`` as an int: an int or numpy integer, not a bool, and at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        bound = "non-negative" if low == 0 else f"at least {low}"
-        raise OutOfRangeError(f"{name} must be {bound}, got {value}")
-    return int(value)
 
 
 def _require_density(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -202,6 +193,7 @@ def werner_two_qubit(p: float) -> BipartiteState:
 
 def swap_operator(m: int) -> np.ndarray:
     """Flip operator F |kl> = |lk> on an m x m bipartite space."""
+    m = _require_int(m, "swap dimension m", 1)
     f = np.eye(m * m, dtype=np.complex128).reshape(m, m, m, m)
     return f.transpose(0, 1, 3, 2).reshape(m * m, m * m)
 

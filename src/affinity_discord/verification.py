@@ -18,6 +18,7 @@ import numpy as np
 
 from . import linalg
 from .correlation import closed_form_2xn, correlation_matrix, lower_bound
+from .errors import ValidationError
 from .families import (
     bell_diagonal_discord,
     isotropic_discords,
@@ -89,13 +90,13 @@ class CheckResult:
         }
 
 
-def _result(name, tols, gaps, notes=None) -> CheckResult:
-    used = {k: tols[k] for k in gaps if k in tols}
-    passed = all(gap <= tols[key] for key, gap in gaps.items() if key in tols)
-    return CheckResult(name, passed, used, gaps, notes or {})
+def _result(name, gaps, notes=None) -> CheckResult:
+    tols = {key: DEFAULT_CHECK_TOLERANCES[key] for key in gaps}
+    passed = all(gap <= tols[key] for key, gap in gaps.items())
+    return CheckResult(name, passed, tols, gaps, notes or {})
 
 
-def check_fig1_werner_sweep(seed, tols) -> CheckResult:
+def check_fig1_werner_sweep(seed) -> CheckResult:
     """Two-qubit Werner sweep: analytic curves, optimizer agreement, endpoints."""
     ps = np.linspace(-1.0 / 3.0, 1.0, 41)
     rows = sweep("werner2", ps, measures=("affinity", "hs"), seed=seed)
@@ -124,13 +125,13 @@ def check_fig1_werner_sweep(seed, tols) -> CheckResult:
         "endpoint_analytic_gap": endpoint_analytic,
         "endpoint_optimized_gap": endpoint_opt,
     }
-    res = _result("fig1_werner_sweep", tols, gaps, notes)
-    res.passed = res.passed and endpoint_analytic <= tols["fig1_analytic"]
-    res.passed = res.passed and endpoint_opt <= tols["fig1_optimized"]
+    res = _result("fig1_werner_sweep", gaps, notes)
+    res.passed = res.passed and endpoint_analytic <= DEFAULT_CHECK_TOLERANCES["fig1_analytic"]
+    res.passed = res.passed and endpoint_opt <= DEFAULT_CHECK_TOLERANCES["fig1_optimized"]
     return res
 
 
-def check_pure_state_formula(seed, tols) -> CheckResult:
+def check_pure_state_formula(seed) -> CheckResult:
     """Optimized discord of pure states equals 1 - sum s_k^2."""
     children = iter(seed.spawn(70))
     gap_opt = 0.0
@@ -153,10 +154,10 @@ def check_pure_state_formula(seed, tols) -> CheckResult:
         "pure_closed": gap_closed,
         "pure_maxent": gap_maxent,
     }
-    return _result("pure_state_formula", tols, gaps, {"states": 32})
+    return _result("pure_state_formula", gaps, {"states": 32})
 
 
-def check_closed_vs_optimizer(seed, tols) -> CheckResult:
+def check_closed_vs_optimizer(seed) -> CheckResult:
     """Exact two-level closed form matches the Bloch-lattice oracle, not the pair step."""
     children = iter(seed.spawn(100))
     gap = 0.0
@@ -166,10 +167,10 @@ def check_closed_vs_optimizer(seed, tols) -> CheckResult:
         opt = 1.0 - _maximize_grid(_overlap_kernel(state.sqrt(), 2, state.dim_b))
         next(children)  # drawn and unused, so that every later state keeps its stream
         gap = max(gap, abs(closed - opt))
-    return _result("closed_vs_optimizer", tols, {"closed_vs_optimizer": gap}, {"states": 50})
+    return _result("closed_vs_optimizer", {"closed_vs_optimizer": gap}, {"states": 50})
 
 
-def check_bound_dominance(seed, tols) -> CheckResult:
+def check_bound_dominance(seed) -> CheckResult:
     """Spectral lower bound never exceeds the optimized (or exact) discord.
 
     For a two-level A the bound is the closed form itself, so ``bound_vs_closed``
@@ -199,10 +200,10 @@ def check_bound_dominance(seed, tols) -> CheckResult:
         "bound_slack": max(0.0, over_opt),
         "bound_vs_closed": max(0.0, over_closed),
     }
-    return _result("bound_dominance", tols, gaps, {"states": 60, "m3_min_bracket": m3_min_bracket})
+    return _result("bound_dominance", gaps, {"states": 60, "m3_min_bracket": m3_min_bracket})
 
 
-def check_ancilla_invariance(seed, tols) -> CheckResult:
+def check_ancilla_invariance(seed) -> CheckResult:
     """Appending an ancilla on B leaves affinity discord fixed and scales HS by Tr(sigma^2)."""
     sigmas = {
         "pure": np.diag([1.0, 0.0]).astype(complex),
@@ -225,10 +226,10 @@ def check_ancilla_invariance(seed, tols) -> CheckResult:
             gap_hs = max(gap_hs, abs(hs_after - hs_before * linalg.frobenius_norm_sq(sigma)))
     gaps = {"ancilla": max(gap_aff, gap_hs)}
     notes = {"affinity_gap": gap_aff, "hs_scaling_gap": gap_hs}
-    return _result("ancilla_invariance", tols, gaps, notes)
+    return _result("ancilla_invariance", gaps, notes)
 
 
-def check_zero_discord_classes(seed, tols) -> CheckResult:
+def check_zero_discord_classes(seed) -> CheckResult:
     """Classical-quantum and product states report (near) zero affinity discord."""
     children = iter(seed.spawn(100))
     worst = 0.0
@@ -245,7 +246,7 @@ def check_zero_discord_classes(seed, tols) -> CheckResult:
         b = random_density(3 if dim_a == 2 else 2, seed=next(children))
         state = product_state(a, b)
         worst = max(worst, abs(_auto_affinity_value(state, next(children))))
-    return _result("zero_discord_classes", tols, {"zero_discord": worst}, {"states": 20})
+    return _result("zero_discord_classes", {"zero_discord": worst}, {"states": 20})
 
 
 def _auto_affinity_value(state: BipartiteState, seed) -> float:
@@ -254,7 +255,7 @@ def _auto_affinity_value(state: BipartiteState, seed) -> float:
     return optimize_affinity_discord(state, seed=seed).value
 
 
-def check_local_unitary_invariance(seed, tols) -> CheckResult:
+def check_local_unitary_invariance(seed) -> CheckResult:
     """Discord is unchanged by local unitaries on either party."""
     children = iter(seed.spawn(120))
     gap_closed = 0.0
@@ -278,10 +279,10 @@ def check_local_unitary_invariance(seed, tols) -> CheckResult:
             ),
         )
     gaps = {"lu_closed": gap_closed, "lu_optimized": gap_opt}
-    return _result("local_unitary_invariance", tols, gaps, {"triples": 20})
+    return _result("local_unitary_invariance", gaps, {"triples": 20})
 
 
-def check_family_zeros_asymptotics(seed, tols) -> CheckResult:
+def check_family_zeros_asymptotics(seed) -> CheckResult:
     """Family formulas vanish at their fixed points and approach their large-m limits."""
     gap_zero = 0.0
     for m in (2, 3, 4):
@@ -296,10 +297,10 @@ def check_family_zeros_asymptotics(seed, tols) -> CheckResult:
         aff, _ = isotropic_discords(64, x)
         gap_asym = max(gap_asym, abs(aff - x))
     gaps = {"family_zero": gap_zero, "asymptotic": gap_asym}
-    return _result("family_zeros_asymptotics", tols, gaps)
+    return _result("family_zeros_asymptotics", gaps)
 
 
-def check_m3_family_optimization(seed, tols) -> CheckResult:
+def check_m3_family_optimization(seed) -> CheckResult:
     """Multistart optimizer reproduces the analytic m=3 Werner and isotropic values."""
     children = iter(seed.spawn(30))
     rng = np.random.default_rng(next(children))
@@ -314,10 +315,10 @@ def check_m3_family_optimization(seed, tols) -> CheckResult:
         expected, _ = isotropic_discords(3, x)
         opt = optimize_affinity_discord(state, seed=next(children)).value
         gap = max(gap, abs(opt - expected))
-    return _result("m3_family_optimization", tols, {"m3_gap": gap}, {"states": 10})
+    return _result("m3_family_optimization", {"m3_gap": gap}, {"states": 10})
 
 
-def check_numerical_substrate(seed, tols) -> CheckResult:
+def check_numerical_substrate(seed) -> CheckResult:
     """Square-root residuals, expansion completeness, and affinity symmetry."""
     children = iter(seed.spawn(80))
     gap_sqrt = 0.0
@@ -343,7 +344,7 @@ def check_numerical_substrate(seed, tols) -> CheckResult:
         "parseval": gap_parseval,
         "affinity_symmetry": gap_sym,
     }
-    return _result("numerical_substrate", tols, gaps, {"states": len(states)})
+    return _result("numerical_substrate", gaps, {"states": len(states)})
 
 
 CHECKS = (
@@ -362,32 +363,23 @@ CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in CHECKS)
 
 
-def run_checks(
-    seed: int = 0,
-    tolerance_overrides: dict[str, float] | None = None,
-    names: list[str] | None = None,
-) -> list[CheckResult]:
+def run_checks(seed: int = 0, names: list[str] | None = None) -> list[CheckResult]:
     """Run verification checks; per-check seeds derive from the single master seed.
 
     Seeds are assigned over the full registry so that selecting a subset of
-    checks does not change any check's random stream.
+    checks does not change any check's random stream. Every gap is compared
+    with its fixed tolerance in ``DEFAULT_CHECK_TOLERANCES``.
     """
-    tols = dict(DEFAULT_CHECK_TOLERANCES)
-    if tolerance_overrides:
-        unknown = sorted(set(tolerance_overrides) - set(tols))
-        if unknown:
-            raise KeyError(f"unknown check tolerance keys: {', '.join(unknown)}")
-        tols.update(tolerance_overrides)
     selected = set(names) if names is not None else set(CHECK_NAMES)
     unknown = sorted(selected - set(CHECK_NAMES))
     if unknown:
-        raise KeyError(f"unknown checks: {', '.join(unknown)}")
+        raise ValidationError(f"unknown checks: {', '.join(unknown)}")
     children = np.random.SeedSequence(seed).spawn(len(CHECKS))
     results = []
     for (name, fn), child in zip(CHECKS, children):
         if name in selected:
             start = time.perf_counter()
-            result = fn(child, tols)
+            result = fn(child)
             result.runtime_s = time.perf_counter() - start
             results.append(result)
     return results

@@ -97,6 +97,18 @@ def test_gell_mann_cache_holds_two_dimensions_of_reference_tables():
         assert gell_mann_basis.cache_info().currsize <= 2
 
 
+def test_gell_mann_type_rule_holds_on_a_cache_hit():
+    # 2.0 == np.int64(2) == 2 hash alike: neither a cached table nor a cached layout
+    # may answer a float, and a refused float leaves nothing behind for an integer
+    reference = _gell_mann_by_loops(3).tobytes()
+    gell_mann_basis(2)
+    for d in (2.0, 3.0):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            gell_mann_basis(d)
+    assert gell_mann_basis(np.int64(3)).tobytes() == reference
+    assert gell_mann_basis(3).tobytes() == reference
+
+
 def test_gell_mann_basis_of_one_level_is_the_identity():
     # a one-level party has the single element {1} and no traceless part
     with pytest.raises(OutOfRangeError):

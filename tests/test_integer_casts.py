@@ -1,4 +1,4 @@
-"""Integer arguments pass one rule in ``states``: no function truncates a parameter with int()."""
+"""Integer arguments pass one rule in ``errors``: no function truncates a parameter with int()."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "affinity_discord"
 # (module, function, parameter): the rule's own cast, made after its type check
-ALLOWED = {("states.py", "_require_int", "value")}
+ALLOWED = {("errors.py", "_require_int", "value")}
 
 
 def _parameter_casts(tree):
@@ -37,4 +37,4 @@ def test_no_parameter_is_cast_with_int(path):
         for func, name in _parameter_casts(tree)
         if (path.name, func, name) not in ALLOWED
     ]
-    assert stray == [], f"{path.name}: check these with states._require_int instead: {stray}"
+    assert stray == [], f"{path.name}: check these with errors._require_int instead: {stray}"

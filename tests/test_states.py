@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affinity_discord import linalg
+from affinity_discord.correlation import gell_mann_basis
 from affinity_discord.errors import (
     DimensionMismatchError,
     InvalidBlochVectorError,
@@ -15,6 +16,7 @@ from affinity_discord.errors import (
     ValidationError,
 )
 from affinity_discord.families import isotropic_discords, sweep, werner_general_discords
+from affinity_discord.measures import MeasurementBasis
 from affinity_discord.states import (
     BipartiteState,
     append_ancilla,
@@ -441,6 +443,13 @@ _INTEGER_SITES = {
     "isotropic": (lambda v: isotropic(v, 0.3), 1),
     "isotropic_discords": (lambda v: isotropic_discords(v, 0.3), 1),
     "sweep.dim": (lambda v: sweep("werner", [0.3], dim=v), 1),
+    "partial_trace.dim_a": (lambda v: linalg.partial_trace(np.eye(4), v, 2), 0),
+    "partial_trace.dim_b": (lambda v: linalg.partial_trace(np.eye(4), 2, v), 0),
+    "haar_unitary": (lambda v: linalg.haar_unitary(v, seed=1), 0),
+    "swap_operator": (swap_operator, 0),
+    "gell_mann_basis": (gell_mann_basis, 0),
+    # one ket of length one: True == 1 would pass the shape test
+    "MeasurementBasis.dim": (lambda v: MeasurementBasis(v, np.eye(1)), 0),
 }
 
 
@@ -470,3 +479,8 @@ def test_integer_arguments_accept_numpy_integers():
     assert (state.dim_a, state.dim_b) == (3, 2) and type(state.dim_b) is int
     assert werner_general(np.int64(3), 0.3).dim_a == 3
     assert random_density(np.int64(3), rank=np.int8(2), seed=1).shape == (3, 3)
+    assert linalg.partial_trace(np.eye(6), np.int64(3), np.int8(2)).shape == (3, 3)
+    assert linalg.haar_unitary(np.int64(3), seed=1).shape == (3, 3)
+    assert swap_operator(np.int64(3)).shape == (9, 9)
+    basis = MeasurementBasis(np.int64(2), np.eye(2))
+    assert basis.dim == 2 and type(basis.dim) is int
