@@ -60,7 +60,7 @@ def _measurement_payload(result: DiscordResult):
 def _as_pure(state: BipartiteState) -> PureState | None:
     """The state as a pure state when one eigenvalue survives the square root's snap, else None.
 
-    Reads the eigendecomposition that ``validate`` kept on the loaded state.
+    Reads the eigendecomposition that the loaded state keeps.
     """
     w, v = state.eigh
     if np.count_nonzero(linalg.snap_spectrum(w)) != 1:
@@ -168,7 +168,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.checks.split(",") if args.checks else None
+    names = None if args.checks is None else args.checks.split(",")
     results = run_checks(seed=args.seed, names=names)
     lines = [json.dumps(res.to_dict(), sort_keys=True) for res in results]
     _emit("\n".join(lines) + "\n", args.out)

@@ -123,7 +123,7 @@ def correlation_matrix(state: BipartiteState) -> np.ndarray:
     entries = ops_b.reshape(-1)[layout.entry]
     raw = np.add.reduceat(h[:, layout.pos] * entries, layout.starts, axis=1)
     residue = float(np.max(np.abs(raw.imag)))
-    if residue > GAMMA_IMAG:
+    if not residue <= GAMMA_IMAG:  # a NaN residue is refused too
         raise ValidationError(
             f"correlation coefficients have imaginary residue {residue:.3e}"
         )

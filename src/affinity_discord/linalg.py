@@ -39,7 +39,7 @@ def require_hermitian(m, rtol: float) -> np.ndarray:
     arr = as_matrix(m)
     scale = max(1.0, float(np.max(np.abs(arr), initial=0.0)))
     defect = float(np.max(np.abs(arr - arr.conj().T), initial=0.0))
-    if defect > rtol * scale:
+    if not defect <= rtol * scale:  # a NaN defect is refused too
         raise NonHermitianError(
             f"Hermiticity defect {defect:.3e} exceeds {rtol:.1e} * {scale:.3e}"
         )
@@ -50,13 +50,13 @@ def matrix_sqrt_psd(m, eigh: tuple[np.ndarray, np.ndarray] | None = None) -> np.
     """Hermitian square root of a positive semidefinite matrix.
 
     ``eigh`` is ``(w, v)``, an eigendecomposition of ``m`` that the caller
-    already holds (a validated state's, from ``states.validate``); without it,
+    already holds (a state's, kept by ``BipartiteState``); without it,
     ``m`` passes the ``HERMITICITY`` gate and is factored here. Eigenvalues in
     ``[-PSD_EPSILON, 0)`` are treated as round-off and clamped to zero before
     the square root; anything more negative is an error.
     """
     w, v = np.linalg.eigh(require_hermitian(m, HERMITICITY)) if eigh is None else eigh
-    if w.size and w[0] < -PSD_EPSILON:
+    if w.size and not w[0] >= -PSD_EPSILON:
         raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} below -{PSD_EPSILON:.1e}")
     return (v * np.sqrt(snap_spectrum(w))) @ v.conj().T
 

@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
     _require_int,
 )
-from .states import BipartiteState, PureState
+from .states import BipartiteState, PureState, _require_density
 from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 
 MAX_OPT_DIM = 8
@@ -148,15 +148,12 @@ def _qubit_kets(n: np.ndarray) -> np.ndarray:
 # --- per-basis functionals ---------------------------------------------------
 
 
-def _density_of(x) -> np.ndarray:
+def _sqrt_of(x) -> np.ndarray:
+    """sqrt of a state, from its kept eigh; a raw matrix passes the density gate first."""
     if isinstance(x, BipartiteState):
-        return np.asarray(x.rho)
-    return linalg.as_matrix(x)
-
-
-def _sqrt_of(x, mat: np.ndarray) -> np.ndarray:
-    """sqrt of ``mat``, the density of ``x``; a state's own ``sqrt`` reads its kept eigh."""
-    return x.sqrt() if isinstance(x, BipartiteState) else linalg.matrix_sqrt_psd(mat)
+        return x.sqrt()
+    sym, w, v = _require_density(x, what="affinity argument")
+    return linalg.matrix_sqrt_psd(sym, (w, v))
 
 
 def affinity(rho, sigma) -> float:
@@ -165,12 +162,10 @@ def affinity(rho, sigma) -> float:
     Symmetric, equal to 1 exactly when the states coincide, and 0 for
     orthogonal supports.
     """
-    a = _density_of(rho)
-    b = _density_of(sigma)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-    sa = _sqrt_of(rho, a)
-    sb = _sqrt_of(sigma, b)
+    sa = _sqrt_of(rho)
+    sb = _sqrt_of(sigma)
+    if sa.shape != sb.shape:
+        raise DimensionMismatchError(f"shape mismatch {sa.shape} vs {sb.shape}")
     val = float(np.real(np.trace(sa @ sb)))
     return float(np.clip(val, 0.0, 1.0))
 
@@ -197,7 +192,7 @@ def _require_basis(state: BipartiteState, basis: MeasurementBasis) -> None:
 
 
 def post_measurement(state: BipartiteState, basis: MeasurementBasis) -> BipartiteState:
-    """Pinched state sum_k (Pi_k x 1) rho (Pi_k x 1); idempotent and trace preserving."""
+    """Checked pinched state sum_k (Pi_k x 1) rho (Pi_k x 1); idempotent and trace preserving."""
     _require_basis(state, basis)
     rho = np.asarray(state.rho)
     eye_b = np.eye(state.dim_b, dtype=np.complex128)

@@ -1,11 +1,12 @@
 """Bipartite density matrices: validation, named families, serialization.
 
 A ``BipartiteState`` is a density matrix tagged with its subsystem
-dimensions ``(dim_a, dim_b)``. All constructors route their output through
-:func:`validate`, so every state object in circulation is Hermitian, unit
-trace, and positive semidefinite within the fixed gates of ``tolerances``.
-``validate`` factors the matrix once and keeps the eigendecomposition on the
-state, where the square root and the pure-state test read it.
+dimensions ``(dim_a, dim_b)``. It checks itself when it is made, so every
+state object in circulation is finite, Hermitian, unit trace, and positive
+semidefinite within the fixed gates of ``tolerances``; there is no unchecked
+way to build one. It factors the matrix once and keeps the eigendecomposition,
+where the square root and the pure-state test read it. The constructors here
+make their states through :func:`validate`.
 """
 
 from __future__ import annotations
@@ -31,24 +32,35 @@ from .tolerances import DOMAIN_SLACK, PSD_EPSILON, STATE_HERMITICITY, UNIT_NORM,
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Validated density matrix on a dim_a x dim_b bipartite system.
+    """Density matrix on a dim_a x dim_b bipartite system, checked when it is made.
 
-    ``eigh`` is ``(w, v)``, read-only, from :func:`validate`'s eigendecomposition
-    of ``rho``; it is None for a state built directly, whose square root then
-    gates and factors ``rho`` itself.
+    ``__post_init__`` checks the integer dimensions, a square matrix of size
+    dim_a * dim_b, finiteness, Hermiticity, positivity and unit trace, and stores
+    the symmetrized matrix read-only. Eigenvalues in ``[-PSD_EPSILON, 0)`` are
+    tolerated and clamped wherever a square root is taken. The stored matrix is
+    exactly Hermitian, so its eigendecomposition, kept read-only as ``eigh`` =
+    ``(w, v)``, is the one that ``matrix_sqrt_psd`` would compute from it.
     """
 
     dim_a: int
     dim_b: int
     rho: np.ndarray
-    eigh: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=np.complex128)
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
+        dim_a, dim_b = _require_int(self.dim_a, "dim_a", 1), _require_int(self.dim_b, "dim_b", 1)
+        arr = linalg.as_matrix(self.rho)
+        if arr.shape[0] != dim_a * dim_b:
+            raise DimensionMismatchError(
+                f"matrix of size {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
+            )
+        sym, w, v = _require_density(arr, what="state")
+        for a in (sym, w, v):
+            a.setflags(write=False)
+        object.__setattr__(self, "dim_a", dim_a)
+        object.__setattr__(self, "dim_b", dim_b)
+        object.__setattr__(self, "rho", sym)
+        object.__setattr__(self, "eigh", (w, v))
 
     @property
     def dim(self) -> int:
@@ -63,7 +75,7 @@ class BipartiteState:
         return linalg.partial_trace(self.rho, self.dim_a, self.dim_b, keep=keep)
 
     def sqrt(self) -> np.ndarray:
-        """Hermitian square root of the density matrix, from the kept ``eigh`` when there is one."""
+        """Hermitian square root of the density matrix, from the kept ``eigh``."""
         return linalg.matrix_sqrt_psd(self.rho, self.eigh)
 
 
@@ -83,7 +95,7 @@ class PureState:
                 f"{self.dim_a} x {self.dim_b}"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > UNIT_NORM:
+        if not abs(norm - 1.0) <= UNIT_NORM:  # a NaN norm is refused too
             raise ValidationError(f"amplitudes have norm {norm!r}, expected 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -95,38 +107,22 @@ class PureState:
 
 def _require_density(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate an arbitrary matrix as a density matrix; returns the symmetrized array and its eigh."""
-    sym = linalg.require_hermitian(mat, STATE_HERMITICITY)
+    arr = linalg.as_matrix(mat)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} has non-finite (NaN or Inf) entries")
+    sym = linalg.require_hermitian(arr, STATE_HERMITICITY)
     w, v = np.linalg.eigh(sym)
-    if w.size and w[0] < -PSD_EPSILON:
+    if w.size and not w[0] >= -PSD_EPSILON:
         raise NotPSDError(f"{what} has eigenvalue {w[0]:.3e} below -{PSD_EPSILON:.1e}")
     trace = float(np.real(np.trace(sym)))
-    if abs(trace - 1.0) > UNIT_TRACE:
+    if not abs(trace - 1.0) <= UNIT_TRACE:
         raise NotUnitTraceError(f"{what} has trace {trace!r}, expected 1")
     return sym, w, v
 
 
 def validate(rho, dim_a: int, dim_b: int) -> BipartiteState:
-    """Check the dimensions, finiteness, Hermiticity, positivity and unit trace; tag the state.
-
-    Eigenvalues in ``[-PSD_EPSILON, 0)`` are tolerated here and clamped later
-    wherever a square root is taken. The symmetrized matrix is exactly Hermitian,
-    so its eigendecomposition, kept read-only as the state's ``eigh``, is the one
-    that ``matrix_sqrt_psd`` would compute from it.
-    """
-    dim_a, dim_b = _require_int(dim_a, "dim_a", 1), _require_int(dim_b, "dim_b", 1)
-    arr = linalg.as_matrix(rho)
-    if arr.shape[0] != dim_a * dim_b:
-        raise DimensionMismatchError(
-            f"matrix of size {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("state has non-finite (NaN or Inf) entries")
-    sym, w, v = _require_density(arr, what="state")
-    state = BipartiteState(dim_a, dim_b, sym)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    object.__setattr__(state, "eigh", (w, v))
-    return state
+    """The checked state of ``rho`` on dim_a x dim_b; see :class:`BipartiteState`."""
+    return BipartiteState(dim_a, dim_b, rho)
 
 
 def bell_state(a: int, b: int) -> PureState:

@@ -373,7 +373,7 @@ def run_checks(seed: int = 0, names: list[str] | None = None) -> list[CheckResul
     selected = set(names) if names is not None else set(CHECK_NAMES)
     unknown = sorted(selected - set(CHECK_NAMES))
     if unknown:
-        raise ValidationError(f"unknown checks: {', '.join(unknown)}")
+        raise ValidationError(f"unknown checks: {', '.join(n or repr(n) for n in unknown)}")
     children = np.random.SeedSequence(seed).spawn(len(CHECKS))
     results = []
     for (name, fn), child in zip(CHECKS, children):

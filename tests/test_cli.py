@@ -533,6 +533,16 @@ def test_verify_unknown_check_exits_2(capsys):
     assert json.loads(err) == {"error": "ValidationError", "message": "unknown checks: nonsense"}
 
 
+@pytest.mark.parametrize(
+    "checks", ["family_zeros_asymptotics,", ""], ids=["trailing-comma", "empty"]
+)
+def test_verify_empty_check_name_exits_2(capsys, checks):
+    code, out, err = run_cli(capsys, "verify", "--checks", checks)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValidationError", "message": "unknown checks: ''"}
+
+
 @pytest.mark.parametrize("module", ["affinity_discord.cli", "affinity_discord"])
 def test_python_dash_m_runs_the_cli(module):
     proc = subprocess.run(

@@ -1,8 +1,8 @@
-"""One eigendecomposition per validated state.
+"""One eigendecomposition per state.
 
-``validate`` factors the symmetrized matrix once and keeps ``(w, v)`` on the
-state; the square root and ``compute``'s pure-state test read it. A state built
-directly keeps the gated route through ``matrix_sqrt_psd``'s own ``eigh``.
+``BipartiteState`` checks and factors the symmetrized matrix once when it is
+made and keeps ``(w, v)`` on the state; the square root and ``compute``'s
+pure-state test read it. There is no unchecked way to build a state.
 """
 
 import importlib.util
@@ -13,9 +13,14 @@ import numpy as np
 import pytest
 
 from affinity_discord import cli
-from affinity_discord.errors import NonHermitianError, NotPSDError
+from affinity_discord.errors import (
+    NonHermitianError,
+    NotPSDError,
+    NotUnitTraceError,
+    ValidationError,
+)
 from affinity_discord.linalg import matrix_sqrt_psd
-from affinity_discord.states import BipartiteState, load_state, random_state, validate
+from affinity_discord.states import BipartiteState, load_state, random_density, random_state
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,20 +65,34 @@ def test_kept_decomposition_gives_the_same_square_root(dim_b, rank):
     assert state.sqrt().tobytes() == direct.tobytes()
 
 
-def test_directly_built_state_keeps_the_gated_route():
-    skew = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=np.complex128)
-    with pytest.raises(NonHermitianError):
-        BipartiteState(2, 1, skew).sqrt()
-    indefinite = np.diag([1.5, -0.5]).astype(np.complex128)
-    with pytest.raises(NotPSDError):
-        BipartiteState(2, 1, indefinite).sqrt()
-    assert np.allclose(BipartiteState(2, 1, np.eye(2) / 2.0).sqrt(), np.eye(2) / np.sqrt(2.0))
+_SKEW = np.array([[0.5, 0.1], [0.3, 0.5]])
+_NAN = np.full((4, 4), np.nan)
 
 
-def test_kept_decomposition_is_read_only():
-    assert BipartiteState(2, 2, np.eye(4) / 4.0).eigh is None  # only validate factors
-    w, v = validate(np.eye(4) / 4.0, 2, 2).eigh
-    for arr in (w, v):
+@pytest.mark.parametrize(
+    "dims,rho,error",
+    [
+        ((2, 1), _SKEW, NonHermitianError),
+        ((2, 1), np.diag([1.5, -0.5]), NotPSDError),
+        ((2, 2), np.eye(4), NotUnitTraceError),  # its affinity discord would read -3
+        ((2, 2), _NAN, ValidationError),
+        ((2.0, 2), np.eye(4) / 4.0, ValidationError),
+    ],
+    ids=["skew", "indefinite", "trace4", "nan", "float-dim"],
+)
+def test_direct_construction_checks_the_state(dims, rho, error):
+    with pytest.raises(error):
+        BipartiteState(*dims, rho)
+
+
+def test_direct_construction_keeps_a_read_only_decomposition():
+    rho = random_density(4, seed=3)
+    state = BipartiteState(2, 2, rho)
+    w, v = state.eigh
+    for arr in (state.rho, w, v):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    ref_w, ref_v = np.linalg.eigh(state.rho)  # the factors of the stored matrix
+    assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+    assert np.allclose(BipartiteState(2, 1, np.eye(2) / 2.0).sqrt(), np.eye(2) / np.sqrt(2.0))

@@ -61,6 +61,13 @@ def test_sqrt_rejects_indefinite():
         linalg.matrix_sqrt_psd(linalg.SIGMA_Z)
 
 
+def test_sqrt_gates_refuse_nan():
+    with pytest.raises(NonHermitianError):
+        linalg.matrix_sqrt_psd(np.full((2, 2), np.nan))
+    with pytest.raises(NotPSDError):  # a NaN eigenvalue handed in with its eigenvectors
+        linalg.matrix_sqrt_psd(np.eye(2) / 2.0, (np.array([np.nan, 0.5]), np.eye(2)))
+
+
 @pytest.mark.parametrize("factor,raises", [(0.5, False), (2.0, True)])
 def test_sqrt_hermiticity_gate_sits_at_its_bound(factor, raises):
     m = np.eye(2, dtype=complex) / 2.0

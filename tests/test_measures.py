@@ -11,6 +11,8 @@ from affinity_discord import linalg, measures
 from affinity_discord.correlation import closed_form_2xn, lower_bound
 from affinity_discord.errors import (
     DimensionMismatchError,
+    NotPSDError,
+    NotUnitTraceError,
     OutOfRangeError,
     UnsupportedDimensionError,
     ValidationError,
@@ -234,6 +236,22 @@ def test_affinity_dimension_mismatch():
         affinity(np.eye(2) / 2.0, np.eye(3) / 3.0)
 
 
+@pytest.mark.parametrize(
+    "raw,error",
+    [
+        (2.0 * np.eye(2), NotUnitTraceError),  # read 1.0 when only the square root was gated
+        (np.diag([1.5, -0.5]), NotPSDError),
+        (np.full((2, 2), np.nan), ValidationError),
+    ],
+    ids=["trace2", "indefinite", "nan"],
+)
+def test_affinity_gates_a_raw_matrix_as_a_density(raw, error):
+    with pytest.raises(error):
+        affinity(raw, np.diag([1.0, 0.0]))
+    with pytest.raises(error):
+        affinity(np.eye(2) / 2.0, raw)
+
+
 def test_affinity_metric_values():
     rho = random_density(3, seed=79)
     assert affinity_metric(rho, rho) == pytest.approx(0.0, abs=1e-6)
@@ -256,6 +274,14 @@ def test_post_measurement_keeps_classical_quantum_fixed():
 def test_post_measurement_bell_state():
     out = post_measurement(bell_state(0, 0).to_density(), MeasurementBasis(2, np.eye(2)))
     assert np.max(np.abs(out.rho - np.diag([0.5, 0.0, 0.0, 0.5]))) < 1e-12
+
+
+def test_post_measurement_output_is_a_checked_state():
+    state = random_state(2, 3, seed=83)
+    out = post_measurement(state, _bloch_basis(0.4, 1.3))
+    w, v = out.eigh
+    assert not w.flags.writeable and not v.flags.writeable
+    assert out.sqrt().tobytes() == linalg.matrix_sqrt_psd(np.array(out.rho)).tobytes()
 
 
 def test_post_measurement_trace_preserving_and_idempotent():

@@ -1,5 +1,7 @@
 """Tests for state construction, validation, and serialization."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from affinity_discord.errors import (
 from affinity_discord.families import isotropic_discords, sweep, werner_general_discords
 from affinity_discord.measures import MeasurementBasis
 from affinity_discord.states import (
-    BipartiteState,
     append_ancilla,
     bell_diagonal,
     bell_state,
@@ -265,12 +266,31 @@ def test_append_ancilla_rejects_non_density():
         append_ancilla(werner_two_qubit(0.2), linalg.SIGMA_Z)
 
 
+@pytest.mark.parametrize(
+    "make,name",
+    [
+        (lambda bad: append_ancilla(werner_two_qubit(0.2), bad), "ancilla"),
+        (lambda bad: product_state(bad, np.eye(2) / 2.0), "party-A state"),
+        (lambda bad: classical_quantum([0.5, 0.5], [np.eye(2) / 2.0, bad]), "conditional state 1"),
+    ],
+    ids=["ancilla", "product", "classical-quantum"],
+)
+def test_non_finite_factor_is_refused_under_its_name(make, name):
+    with pytest.raises(ValidationError, match=f"{name} has non-finite"):
+        make(np.array([[np.nan, 0.0], [0.0, 0.5]]))
+
+
 # --- pure states and Schmidt spectra -------------------------------------------
 
 
 def test_pure_state_requires_unit_norm():
     with pytest.raises(ValidationError):
         PureState(2, 2, np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_pure_state_refuses_nan_amplitudes():
+    with pytest.raises(ValidationError, match="norm"):
+        PureState(2, 2, np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("factor,raises", [(0.5, False), (2.0, True)])
@@ -372,11 +392,12 @@ def test_json_writer_matches_per_cell_formatting(dims):
 
 
 def test_json_writer_formats_edge_values_per_cell():
-    # signed zero, the smallest subnormal, a huge value and a tiny imaginary part;
-    # written unvalidated, in Fortran order so the writer cannot rely on the layout
+    # signed zero, the smallest subnormal, a huge value and a tiny imaginary part,
+    # in Fortran order so the writer cannot rely on the layout; no state holds such
+    # a matrix, so a stand-in carries the three fields the writer reads
     row = [-0.0, 5e-324, 1e308, -1.5e-9j]
     rho = np.asfortranarray(np.array([row, row[::-1], [1.0, 0.5, 0.25, 0.125], row], dtype=np.complex128))
-    state = BipartiteState(2, 2, rho)
+    state = SimpleNamespace(dim_a=2, dim_b=2, rho=rho)
     assert state.rho.flags.f_contiguous
     text = state_to_json(state)
     assert text == _json_by_cells(state)
