@@ -22,7 +22,6 @@ from .errors import UnsupportedDimensionError, ValidationError, _require_int
 from .families import MEASURES, sweep, sweep_to_csv
 from .measures import (
     BUDGET_DEFAULT,
-    MULTISTART_DEFAULT,
     DiscordResult,
     _require_budget,
     _require_seed,
@@ -69,7 +68,7 @@ def _as_pure(state: BipartiteState) -> PureState | None:
     return PureState(state.dim_a, state.dim_b, amps / np.linalg.norm(amps))
 
 
-def _measure_entry(state, psi, measure, method, budget, seed) -> dict:
+def _measure_entry(state, psi, measure, method, budget) -> dict:
     """Run one measure by one method; ``psi`` is the state as a pure state, or None.
 
     ``auto`` takes the closed forms (pure, then two-level A) for the affinity
@@ -91,7 +90,7 @@ def _measure_entry(state, psi, measure, method, budget, seed) -> dict:
             "hs": optimize_hs_discord,
             "remedied": remedied_hs_discord,
         }[measure]
-        result = optimizer(state, budget=budget, seed=seed)
+        result = optimizer(state, budget=budget)
     elif method == "bound":
         raw_bound = lower_bound(state)
         result = DiscordResult(max(raw_bound, 0.0), "bound")
@@ -120,10 +119,7 @@ def cmd_compute(args) -> int:
     state = load_state(args.state)
     psi = _as_pure(state)
     measures = ["affinity", "hs", "remedied"] if args.measure == "all" else [args.measure]
-    entries = {
-        m: _measure_entry(state, psi, m, args.method, args.budget, args.seed)
-        for m in measures
-    }
+    entries = {m: _measure_entry(state, psi, m, args.method, args.budget) for m in measures}
     diagnostics = {
         "purity": state.purity(),
         "marginal_spectrum_a": [float(x) for x in np.linalg.eigvalsh(state.marginal("a"))],
@@ -151,14 +147,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--from {args.start} exceeds --to {args.stop}")
     params = np.linspace(args.start, args.stop, args.steps)
     measures = MEASURES if args.measure == "all" else (args.measure,)
-    rows = sweep(
-        args.family,
-        params,
-        measures=measures,
-        dim=args.dim,
-        budget=args.budget,
-        seed=args.seed,
-    )
+    rows = sweep(args.family, params, measures=measures, dim=args.dim, budget=args.budget)
     if args.format == "json":
         payload = [dataclasses.asdict(row) for row in rows]
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -202,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
+    common.add_argument("--seed", type=int, default=0, help="seed of verify's random states")
     common.add_argument("--out", default=None, help="write output to this path")
     optimizing = argparse.ArgumentParser(add_help=False)
     optimizing.add_argument(
@@ -210,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"cap on the pair steps of all starts, at least 1 (default {BUDGET_DEFAULT}): "
-        f"{MULTISTART_DEFAULT} starts run to convergence for dim_a >= 3, one start for dim_a <= 2",
+        "dim_a + 1 starts for dim_a >= 3, one start for dim_a <= 2",
     )
 
     p_compute = sub.add_parser(

@@ -147,7 +147,9 @@ def sweep(
 
     ``dim`` is m for werner and isotropic (an integer from 2 to the optimizer's cap,
     checked before any state is built), and must be left out for werner2 and belldiag.
-    Rows are ordered by grid index then measure; for a fixed seed the output is deterministic.
+    Rows are ordered by grid index then measure, and the output is deterministic. ``seed``
+    is checked and then unused, because no optimizer reads a seed; it stays only
+    because the benchmark's workloads pass it, and goes when they stop.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; choose from {FAMILIES}")
@@ -165,7 +167,7 @@ def sweep(
         for measure in measures:
             analytic = oracle()[MEASURES.index(measure)]
             run = optimize_affinity_discord if measure == "affinity" else optimize_hs_discord
-            optimized = run(state, budget=budget, seed=seed).value
+            optimized = run(state, budget=budget).value
             gap = abs(analytic - optimized)
             rows.append(SweepRow(family, param, measure, analytic, optimized, gap))
     return rows

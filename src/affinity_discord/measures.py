@@ -18,12 +18,13 @@ G_ij = Re vec(O_i)^dagger K vec(O_j). The optimizer runs Jacobi sweeps
 (Cardoso-Souloumiac, SIMAX 17(1), 1996) that rotate each pair of basis kets onto
 the top eigenvector of its G, on all starts in lockstep, each until a sweep stops
 gaining. Every qubit rotation, in a pair step or in the two-level closed form,
-takes its kets from one batched eigh of n.sigma (``_qubit_kets``). The random
-starts are eigenbases of Hermitian matrices from one ``default_rng(seed)`` draw;
-the seed (an int or a SeedSequence) is read, never advanced. A two-level A has
-one pair, so one step is the global optimum there and one start suffices.
+takes its kets from one batched eigh of n.sigma (``_qubit_kets``). The starts are
+the marginal eigenbasis on A and, for dim_a >= 3, the dim_a bases read from the
+top eigenvectors of Q K Q (``_spectral_starts``), so the optimizer draws nothing
+at random and takes no seed. A two-level A has one pair, so one step is the
+global optimum there and one start suffices.
 ``_maximize_grid`` evaluates the form on a Bloch-angle lattice for a two-level A
-and refines it on nested tangent-plane lattices, without eigh; it is an
+and refines it on tangent-plane lattices, without eigh; it is an
 independent oracle for ``verify``, not a route of the optimizer.
 """
 
@@ -46,9 +47,8 @@ from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 MAX_OPT_DIM = 8
 GRID_THETA = 181
 GRID_PHI = 360
-GRID_LEVELS = 20
-MULTISTART_DEFAULT = 64
-BUDGET_DEFAULT = MULTISTART_DEFAULT * 20_000
+GRID_LEVELS = 64
+BUDGET_DEFAULT = 1_280_000
 # T: rows vec(1), vec(sigma_x), vec(sigma_y), vec(sigma_z); then vec(X) -> vec(T^* X T^T)
 _PAULI_VEC = np.stack([np.eye(2), *linalg.PAULI]).reshape(4, 4)
 _PAULI_PAIR = np.kron(_PAULI_VEC.conj(), _PAULI_VEC).T
@@ -240,49 +240,62 @@ def pure_discord(psi: PureState) -> DiscordResult:
 def _maximize_grid(k: np.ndarray) -> float:
     """Best overlap (c0 + n^T G n) / 2 of a two-level A: a Bloch lattice, then tangent lattices.
 
-    Each level tries the 5 x 5 points normalize(n + step (a u + b v)), a, b in [-1, 1],
-    with u, v spanning the tangent plane at the best n so far, moves to the best and
-    halves ``step`` (one lattice step at first). No eigh: the oracle stays independent.
+    Each of the GRID_LEVELS levels tries the 5 x 5 points normalize(n + step (a u + b v)),
+    a, b in [-1, 1], with u, v spanning the tangent plane at the best n so far. It moves
+    to a point that beats the centre and keeps ``step`` (one lattice step at first), so
+    the search can travel along a flat direction of G; it halves ``step`` only when the
+    centre stays best. Round-off ties can keep the centre moving, hence the fixed count
+    of levels. No eigh: the oracle stays independent.
     """
     (c0,), (g,) = _pair_forms(k, np.eye(2)[None])
 
-    def best_of(n):
-        return n[np.argmax(np.einsum("gi,gi->g", n @ g, n))]
+    def form(n):
+        return np.einsum("gi,gi->g", n @ g, n)
 
     t = np.linspace(0.0, np.pi, GRID_THETA)[:, None]
     p = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
     n = np.broadcast_arrays(np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t))
-    best = best_of(np.stack(n, -1).reshape(-1, 3))
+    n = np.stack(n, -1).reshape(-1, 3)
+    best = n[np.argmax(form(n))]
     ab = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 2), -1).reshape(-1, 2)
+    centre = len(ab) // 2  # a = b = 0
     step = np.pi / (GRID_THETA - 1)
     for _ in range(GRID_LEVELS):
         u = np.cross(best, np.eye(3)[np.argmin(np.abs(best))])
         u /= np.linalg.norm(u)
         n = best + (step * ab) @ np.stack([u, np.cross(best, u)])
-        best = best_of(n / np.linalg.norm(n, axis=1, keepdims=True))
-        step /= 2.0
+        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        values = form(n)
+        if values[centre] < values.max():
+            best = n[np.argmax(values)]
+        else:
+            step /= 2.0
     return float(c0 + best @ g @ best) / 2.0
 
 
-def _maximize(
-    k: np.ndarray, dim_a: int, budget: int, seed, marginal: np.ndarray
-) -> tuple[float, MeasurementBasis, int]:
+def _spectral_starts(k: np.ndarray, dim_a: int) -> np.ndarray:
+    """dim_a bases on A (kets in rows), one from each top eigenvector of Q K Q, the top first.
+
+    Every basis sums to 1, so Q = 1 - e e^dagger drops e = vec(1)/sqrt(dim_a). Each
+    eigenvector, read as a matrix X in ``_overlap``'s row-major vec, gives the eigenbasis
+    of its Hermitian part (the computational basis when a real K gives X = -X^T).
+    """
+    e = np.eye(dim_a).reshape(-1) / np.sqrt(dim_a)
+    q = np.eye(dim_a * dim_a) - np.outer(e, e)
+    x = np.linalg.eigh(q @ k @ q)[1][:, ::-1][:, :dim_a].T.reshape(dim_a, dim_a, dim_a)
+    return np.linalg.eigh(x + x.conj().swapaxes(1, 2))[1].swapaxes(1, 2)
+
+
+def _maximize(k: np.ndarray, starts: np.ndarray, budget: int) -> tuple[float, MeasurementBasis, int]:
     """Jacobi pair sweeps on all starts in lockstep; returns the best overlap, its basis, the steps.
 
-    Start 0 is the eigenbasis of ``marginal``; for dim_a >= 3, starts 1..63 are the
-    eigenbases of 63 Hermitian matrices from one ``default_rng(seed)`` draw, so an
-    int or a SeedSequence seed gives the same starts on every call and is never
-    advanced. Each iteration steps the same pair of every running start, rotating
-    it onto the kets of ``_qubit_kets``; a start stops when a whole sweep gains
-    less than OPTIMIZER_REL_IMPROVEMENT, and all stop once ``budget`` pair steps
-    are spent.
+    ``starts`` holds bases on A with kets in rows, shape (starts, dim_a, dim_a). Each
+    iteration steps the same pair of every running start, rotating it onto the kets
+    of ``_qubit_kets``; a start stops when a whole sweep gains less than
+    OPTIMIZER_REL_IMPROVEMENT, and all stop once ``budget`` pair steps are spent.
     """
-    starts = np.linalg.eigh(marginal)[1][None]
-    if dim_a > 2:  # a two-level A has one pair, so its single start is exact
-        z = np.random.default_rng(seed).standard_normal((2, MULTISTART_DEFAULT - 1, dim_a, dim_a))
-        g = z[0] + 1j * z[1]
-        starts = np.concatenate([starts, np.linalg.eigh((g + g.conj().swapaxes(1, 2)) / 2.0)[1]])
-    vectors = starts.transpose(0, 2, 1).copy()  # kets in rows
+    vectors = np.array(starts, dtype=np.complex128, order="C")  # the layout sets matmul round-off
+    dim_a = vectors.shape[-1]
     pairs = [[i, j] for i in range(dim_a) for j in range(i + 1, dim_a)]
     active = np.arange(len(vectors) if pairs else 0)
     gain = np.zeros(len(vectors))
@@ -326,47 +339,42 @@ def _require_optimizable(dim_a: int) -> None:
 
 
 def _optimize(
-    state: BipartiteState, s: np.ndarray, offset: float, budget: int | None, seed
+    state: BipartiteState, s: np.ndarray, offset: float, budget: int | None
 ) -> DiscordResult:
     """Minimize ``offset - overlap`` over projective bases on A, with K built from S."""
     budget = _require_budget(budget)
-    _require_seed(seed)  # a two-level A draws no random start, so default_rng would never see it
     _require_optimizable(state.dim_a)
     k = _overlap_kernel(s, state.dim_a, state.dim_b)
-    best, basis, evals = _maximize(k, state.dim_a, budget, seed, state.marginal("a"))
+    starts = np.linalg.eigh(state.marginal("a"))[1].T[None]
+    if state.dim_a > 2:  # a two-level A has one pair, so its single start is exact
+        starts = np.concatenate([starts, _spectral_starts(k, state.dim_a)])
+    best, basis, evals = _maximize(k, starts, budget)
     return DiscordResult(offset - best, "optimized-local", basis, evaluations=evals)
 
 
-def optimize_affinity_discord(
-    state: BipartiteState, budget: int | None = None, seed=0
-) -> DiscordResult:
+def optimize_affinity_discord(state: BipartiteState, budget: int | None = None) -> DiscordResult:
     """Minimize the affinity discord functional over projective bases on A.
 
-    Jacobi pair sweeps from the marginal eigenbasis on A and, for dim_a >= 3,
-    63 random bases, each start until a whole sweep gains less than
-    OPTIMIZER_REL_IMPROVEMENT (a two-level A's single pair step is exact).
-    ``seed`` is an int or a SeedSequence; the random bases come from one
-    ``np.random.default_rng(seed)`` draw, which leaves a SeedSequence as it was,
-    so identical seeds give identical results. ``budget`` (at least 1, default
-    BUDGET_DEFAULT) caps the pair steps of all starts, which ``evaluations`` counts.
+    Jacobi pair sweeps from the marginal eigenbasis on A and, for dim_a >= 3, the
+    dim_a bases of ``_spectral_starts``, each start until a whole sweep gains less
+    than OPTIMIZER_REL_IMPROVEMENT (a two-level A's single pair step is exact).
+    Nothing is drawn at random, so a state always gives the same result. ``budget``
+    (at least 1, default BUDGET_DEFAULT) caps the pair steps of all starts, which
+    ``evaluations`` counts.
     """
-    return _optimize(state, state.sqrt(), 1.0, budget, seed)
+    return _optimize(state, state.sqrt(), 1.0, budget)
 
 
-def optimize_hs_discord(
-    state: BipartiteState, budget: int | None = None, seed=0
-) -> DiscordResult:
+def optimize_hs_discord(state: BipartiteState, budget: int | None = None) -> DiscordResult:
     """Minimize ||rho - pinched(rho)||^2 over projective bases on A."""
-    return _optimize(state, np.asarray(state.rho), state.purity(), budget, seed)
+    return _optimize(state, np.asarray(state.rho), state.purity(), budget)
 
 
-def remedied_hs_discord(
-    state: BipartiteState, budget: int | None = None, seed=0
-) -> DiscordResult:
+def remedied_hs_discord(state: BipartiteState, budget: int | None = None) -> DiscordResult:
     """Minimize ||sqrt(rho) - pinched(sqrt(rho))||^2 over projective bases on A.
 
     Numerically identical to the affinity-based optimum; kept as a separate
     surface because it is the ancilla-safe repair of the Hilbert-Schmidt
     measure. Tr(sqrt(rho)^2) = 1 for a unit-trace state, so the offset is 1.
     """
-    return _optimize(state, state.sqrt(), 1.0, budget, seed)
+    return _optimize(state, state.sqrt(), 1.0, budget)
