@@ -191,19 +191,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed of verify's random states")
     common.add_argument("--out", default=None, help="write output to this path")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
+        "--seed", type=int, default=0, help="seed of verify's random states (compute echoes it)"
+    )
     optimizing = argparse.ArgumentParser(add_help=False)
     optimizing.add_argument(
         "--budget",
         type=int,
         default=None,
         help=f"cap on the pair steps of all starts, at least 1 (default {BUDGET_DEFAULT}): "
-        "dim_a + 1 starts for dim_a >= 3, one start for dim_a <= 2",
+        "dim_a starts for dim_a >= 3, one start for dim_a <= 2",
     )
 
     p_compute = sub.add_parser(
-        "compute", parents=[common, optimizing], help="compute measures for a state file"
+        "compute", parents=[common, seeded, optimizing], help="compute measures for a state file"
     )
     p_compute.add_argument("--state", required=True, help="path to a JSON state file")
     p_compute.add_argument(
@@ -226,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(fn=cmd_sweep)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run the verification checks")
+    p_verify = sub.add_parser(
+        "verify", parents=[common, seeded], help="run the verification checks"
+    )
     p_verify.add_argument(
         "--checks",
         default=None,
@@ -245,7 +250,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _require_seed(args.seed)
+        _require_seed(vars(args).get("seed", 0))  # compute and verify
         _require_budget(vars(args).get("budget"))  # compute and sweep; None is the default
         if args.out:
             _check_out(args.out)

@@ -19,10 +19,10 @@ G_ij = Re vec(O_i)^dagger K vec(O_j). The optimizer runs Jacobi sweeps
 the top eigenvector of its G, on all starts in lockstep, each until a sweep stops
 gaining. Every qubit rotation, in a pair step or in the two-level closed form,
 takes its kets from one batched eigh of n.sigma (``_qubit_kets``). The starts are
-the marginal eigenbasis on A and, for dim_a >= 3, the dim_a bases read from the
-top eigenvectors of Q K Q (``_spectral_starts``), so the optimizer draws nothing
-at random and takes no seed. A two-level A has one pair, so one step is the
-global optimum there and one start suffices.
+read from K alone, so the optimizer draws nothing at random and takes no seed: for
+dim_a >= 3 they are the dim_a bases read from the top eigenvectors of Q K Q
+(``_spectral_starts``). A two-level A has one pair, so one step from any basis is
+the global optimum there, and its single start is the computational basis.
 ``_maximize_grid`` evaluates the form on a Bloch-angle lattice for a two-level A
 and refines it on tangent-plane lattices, without eigh; it is an
 independent oracle for ``verify``, not a route of the optimizer.
@@ -48,6 +48,7 @@ MAX_OPT_DIM = 8
 GRID_THETA = 181
 GRID_PHI = 360
 GRID_LEVELS = 64
+GRID_HALVINGS = 20
 BUDGET_DEFAULT = 1_280_000
 # T: rows vec(1), vec(sigma_x), vec(sigma_y), vec(sigma_z); then vec(X) -> vec(T^* X T^T)
 _PAULI_VEC = np.stack([np.eye(2), *linalg.PAULI]).reshape(4, 4)
@@ -240,12 +241,13 @@ def pure_discord(psi: PureState) -> DiscordResult:
 def _maximize_grid(k: np.ndarray) -> float:
     """Best overlap (c0 + n^T G n) / 2 of a two-level A: a Bloch lattice, then tangent lattices.
 
-    Each of the GRID_LEVELS levels tries the 5 x 5 points normalize(n + step (a u + b v)),
+    Each level tries the 5 x 5 points normalize(n + step (a u + b v)),
     a, b in [-1, 1], with u, v spanning the tangent plane at the best n so far. It moves
     to a point that beats the centre and keeps ``step`` (one lattice step at first), so
     the search can travel along a flat direction of G; it halves ``step`` only when the
-    centre stays best. Round-off ties can keep the centre moving, hence the fixed count
-    of levels. No eigh: the oracle stays independent.
+    centre stays best. It stops once ``step`` has been halved GRID_HALVINGS times, or
+    after GRID_LEVELS levels, because round-off ties can keep the centre moving. No
+    eigh: the oracle stays independent.
     """
     (c0,), (g,) = _pair_forms(k, np.eye(2)[None])
 
@@ -260,7 +262,10 @@ def _maximize_grid(k: np.ndarray) -> float:
     ab = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 2), -1).reshape(-1, 2)
     centre = len(ab) // 2  # a = b = 0
     step = np.pi / (GRID_THETA - 1)
+    halvings = 0
     for _ in range(GRID_LEVELS):
+        if halvings == GRID_HALVINGS:
+            break
         u = np.cross(best, np.eye(3)[np.argmin(np.abs(best))])
         u /= np.linalg.norm(u)
         n = best + (step * ab) @ np.stack([u, np.cross(best, u)])
@@ -270,6 +275,7 @@ def _maximize_grid(k: np.ndarray) -> float:
             best = n[np.argmax(values)]
         else:
             step /= 2.0
+            halvings += 1
     return float(c0 + best @ g @ best) / 2.0
 
 
@@ -341,13 +347,12 @@ def _require_optimizable(dim_a: int) -> None:
 def _optimize(
     state: BipartiteState, s: np.ndarray, offset: float, budget: int | None
 ) -> DiscordResult:
-    """Minimize ``offset - overlap`` over projective bases on A, with K built from S."""
+    """Minimize ``offset - overlap`` over projective bases on A; the starts read only K."""
     budget = _require_budget(budget)
     _require_optimizable(state.dim_a)
     k = _overlap_kernel(s, state.dim_a, state.dim_b)
-    starts = np.linalg.eigh(state.marginal("a"))[1].T[None]
-    if state.dim_a > 2:  # a two-level A has one pair, so its single start is exact
-        starts = np.concatenate([starts, _spectral_starts(k, state.dim_a)])
+    # a two-level A has one pair, so one step from any basis is exact
+    starts = np.eye(state.dim_a)[None] if state.dim_a <= 2 else _spectral_starts(k, state.dim_a)
     best, basis, evals = _maximize(k, starts, budget)
     return DiscordResult(offset - best, "optimized-local", basis, evaluations=evals)
 
@@ -355,9 +360,9 @@ def _optimize(
 def optimize_affinity_discord(state: BipartiteState, budget: int | None = None) -> DiscordResult:
     """Minimize the affinity discord functional over projective bases on A.
 
-    Jacobi pair sweeps from the marginal eigenbasis on A and, for dim_a >= 3, the
-    dim_a bases of ``_spectral_starts``, each start until a whole sweep gains less
-    than OPTIMIZER_REL_IMPROVEMENT (a two-level A's single pair step is exact).
+    Jacobi pair sweeps from the dim_a bases of ``_spectral_starts`` for dim_a >= 3,
+    each start until a whole sweep gains less than OPTIMIZER_REL_IMPROVEMENT; a
+    two-level A starts from the computational basis, whose single pair step is exact.
     Nothing is drawn at random, so a state always gives the same result. ``budget``
     (at least 1, default BUDGET_DEFAULT) caps the pair steps of all starts, which
     ``evaluations`` counts.

@@ -247,13 +247,12 @@ def test_bad_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command,
     assert (tmp_path / "file.txt").read_text() == "kept"
 
 
-@pytest.mark.parametrize("command", ["compute", "sweep", "verify"])
+@pytest.mark.parametrize("command", ["compute", "verify"])
 def test_negative_seed_exits_2(tmp_path, capsys, command):
     path = tmp_path / "state.json"
     save_state(random_state(3, 2, seed=3), path)
     argv = {
         "compute": ["compute", "--state", str(path)],
-        "sweep": ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--steps", "2"],
         "verify": ["verify", "--checks", "numerical_substrate"],
     }[command]
     code, out, err = run_cli(capsys, *argv, "--seed", "-3")
@@ -317,10 +316,10 @@ def test_sweep_json_rows_are_the_library_rows(capsys):
     code, out, err = run_cli(
         capsys,
         "sweep", "--family", "isotropic", "--dim", "3", "--from", "0", "--to", "1",
-        "--steps", "3", "--format", "json", "--seed", "4",
+        "--steps", "3", "--format", "json",
     )
     assert code == 0, err
-    rows = sweep("isotropic", np.linspace(0.0, 1.0, 3), dim=3, seed=4)
+    rows = sweep("isotropic", np.linspace(0.0, 1.0, 3), dim=3)
     assert json.loads(out) == [dataclasses.asdict(row) for row in rows]
 
 
@@ -346,7 +345,7 @@ def test_sweep_two_qubit_family_with_dim_exits_2(capsys):
 def test_sweep_deterministic(capsys):
     args = [
         "sweep", "--family", "werner2", "--from", "0", "--to", "1",
-        "--steps", "3", "--measure", "affinity", "--seed", "7",
+        "--steps", "3", "--measure", "affinity",
     ]
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
@@ -408,10 +407,12 @@ _SWEEP_ARGV = ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--st
         (_SWEEP_ARGV, ["--strategy", "hybrid"]),
         (["verify"], ["--strategy", "hybrid"]),
         (_COMPUTE_ARGV, ["--format", "json"]),
+        (_SWEEP_ARGV, ["--seed", "3"]),
     ],
     ids=[
         "compute-tol-key", "sweep-tol-key", "verify-tol-key", "verify-budget",
         "compute-strategy", "sweep-strategy", "verify-strategy", "compute-format",
+        "sweep-seed",
     ],
 )
 def test_unused_flag_exits_2(argv, flag, capsys):

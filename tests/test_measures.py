@@ -630,6 +630,33 @@ def test_spectral_starts_reach_the_best_of_64_random_starts(m, dim_b, rank):
         assert offset - optimizer(state).value >= best - 1e-9, optimizer.__name__
 
 
+def _rotated_cq(m, dim_b, seed):
+    # distinct weights give a marginal whose eigenbasis is the optimum; the starts
+    # must reach it from K alone
+    rng = np.random.default_rng(seed)
+    blocks = [random_density(dim_b, seed=rng) for _ in range(m)]
+    state = classical_quantum(rng.dirichlet(np.ones(m)), blocks)
+    big = np.kron(linalg.haar_unitary(m, rng), np.eye(dim_b))
+    return validate(big @ state.rho @ big.conj().T, m, dim_b)
+
+
+@pytest.mark.parametrize("dim_b", [2, 3])
+@pytest.mark.parametrize("m", range(3, 9))
+def test_starts_reach_zero_on_rotated_cq_with_distinct_weights(m, dim_b):
+    state = _rotated_cq(m, dim_b, seed=400 + 10 * m + dim_b)
+    for optimizer in (optimize_affinity_discord, optimize_hs_discord):
+        value = optimizer(state).value
+        assert abs(value) <= DEFAULT_CHECK_TOLERANCES["family_zero"], optimizer.__name__
+
+
+@pytest.mark.parametrize("dim_b", [2, 3])
+@pytest.mark.parametrize("m", range(3, 9))
+def test_starts_reach_the_pure_formula(m, dim_b):
+    psi = random_pure_state(m, dim_b, seed=500 + 10 * m + dim_b)
+    value = optimize_affinity_discord(psi.to_density()).value
+    assert abs(value - pure_discord(psi).value) <= 1e-12
+
+
 def _degenerate_cases():
     # Werner and isotropic states commute with U x conj(U) or U x U, so Q K Q has
     # repeated eigenvalues; x = 1/m and 1/m^2 are their zero-discord points
@@ -682,7 +709,7 @@ def test_default_optimum_at_m8_is_converged(optimum_8x3):
 
 def test_default_optimum_at_m8_takes_few_pair_steps(optimum_8x3):
     # the best of the marginal start and 63 random bases reads 0.177748960635 after
-    # 189,532 pair steps; the 9 deterministic starts reach it in far fewer
+    # 189,532 pair steps; the 8 deterministic starts reach it in far fewer
     _, res = optimum_8x3
     assert abs(res.value - 0.177748960635) <= 1e-9
     assert res.evaluations <= 30_000
@@ -729,7 +756,7 @@ def test_optimize_rejects_large_dimension():
 @settings(max_examples=8, deadline=None)
 @given(dim_a=st.integers(4, 6), dim_b=st.integers(1, 3), data=st.data())
 def test_spectral_bound_and_one_bracket_the_optimized_value(dim_a, dim_b, data):
-    # m >= 4 runs the search from m + 1 starts; the bound needs no optimizer
+    # m >= 4 runs the search from m starts; the bound needs no optimizer
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rank = data.draw(st.integers(1, dim_a * dim_b), label="rank")
     _assert_bracketed(random_state(dim_a, dim_b, rank=rank, seed=seed))

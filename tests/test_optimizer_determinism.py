@@ -1,12 +1,15 @@
-"""The optimizer is deterministic: ``measures`` draws nothing at random and takes no seed."""
+"""The optimizer is deterministic: ``measures`` draws nothing at random and takes no seed,
+and its starts are read from the kernel K alone."""
 
 import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from affinity_discord import measures
+from affinity_discord.states import BipartiteState, random_state
 
 MEASURES = Path(__file__).resolve().parents[1] / "src" / "affinity_discord" / "measures.py"
 # (enclosing function, name under np.random): the seed rule's type check, which draws nothing
@@ -68,3 +71,27 @@ def test_measures_draws_nothing_at_random():
 )
 def test_optimizers_take_no_seed(optimizer):
     assert list(inspect.signature(optimizer).parameters) == ["state", "budget"]
+
+
+@pytest.mark.parametrize("dim_a", [1, 2, 3, 5])
+def test_starts_are_read_from_k_alone(monkeypatch, dim_a):
+    # the computational basis for dim_a <= 2, the spectral starts of K above; no marginal
+    def refuse(*args, **kwargs):
+        raise AssertionError("the optimizer read the marginal")
+
+    monkeypatch.setattr(BipartiteState, "marginal", refuse)
+    seen = []
+    maximize = measures._maximize
+
+    def record(k, starts, budget):
+        seen.append((k, starts))
+        return maximize(k, starts, budget)
+
+    monkeypatch.setattr(measures, "_maximize", record)
+    state = random_state(dim_a, 2, seed=dim_a)
+    for optimizer in (measures.optimize_affinity_discord, measures.optimize_hs_discord):
+        optimizer(state)
+    for k, starts in seen:
+        expected = np.eye(dim_a)[None] if dim_a <= 2 else measures._spectral_starts(k, dim_a)
+        assert np.array_equal(starts, expected)
+    assert len(seen) == 2
