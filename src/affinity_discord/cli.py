@@ -22,6 +22,7 @@ from .errors import UnsupportedDimensionError, ValidationError, _require_int
 from .families import MEASURES, sweep, sweep_to_csv
 from .measures import (
     BUDGET_DEFAULT,
+    MAX_OPT_DIM,
     DiscordResult,
     _require_budget,
     _require_seed,
@@ -33,7 +34,7 @@ from .measures import (
 from .states import BipartiteState, PureState, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
-_BOUND_MAX_DIM = 64  # only --method bound computes the spectral bound for larger systems
+_BOUND_MAX_DIM = 64  # larger systems get the bound only as the value above MAX_OPT_DIM
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -69,21 +70,25 @@ def _as_pure(state: BipartiteState) -> PureState | None:
 
 
 def _measure_entry(state, psi, measure, method, budget) -> dict:
-    """Run one measure by one method; ``psi`` is the state as a pure state, or None.
+    """Run one measure; ``psi`` is the state as a pure state, or None.
 
-    ``auto`` takes the closed forms (pure, then two-level A) for the affinity
-    and remedied measures, and optimizes otherwise. The spectral bound is
-    computed after the result, so a dimension the result rejects exits 3
-    before the bound sees it.
+    ``auto`` takes, for the affinity and remedied measures, the pure closed
+    form, then the two-level closed form, then the optimizer up to
+    ``MAX_OPT_DIM``, and above it the spectral bound alone. The HS measure and
+    ``optimize`` always optimize, so a dim_a above the cap exits 3 there. On
+    every other route the spectral bound is computed after the result, so a
+    dimension the result rejects exits 3 before the bound sees it.
     """
-    if method == "auto":
-        closed = measure != "hs" and (psi is not None or state.dim_a == 2)
-        method = "closed" if closed else "optimize"
-    if measure == "hs" and method != "optimize":
-        raise ValidationError(f"no {method} path for the Hilbert-Schmidt measure")
-
+    closed = method == "auto" and measure != "hs"
     raw_bound = None
-    if method == "optimize":
+    if closed and psi is not None:
+        result = pure_discord(psi)
+    elif closed and state.dim_a == 2:
+        result = closed_form_2xn(state)
+    elif closed and state.dim_a > MAX_OPT_DIM:
+        raw_bound = lower_bound(state)
+        result = DiscordResult(max(raw_bound, 0.0), "bound")
+    else:
         # looked up per call, so a rebinding of these names (perfbench's tracer) takes effect
         optimizer = {
             "affinity": optimize_affinity_discord,
@@ -91,15 +96,6 @@ def _measure_entry(state, psi, measure, method, budget) -> dict:
             "remedied": remedied_hs_discord,
         }[measure]
         result = optimizer(state, budget=budget)
-    elif method == "bound":
-        raw_bound = lower_bound(state)
-        result = DiscordResult(max(raw_bound, 0.0), "bound")
-    elif psi is not None:
-        result = pure_discord(psi)
-    elif state.dim_a == 2:
-        result = closed_form_2xn(state)
-    else:
-        raise UnsupportedDimensionError("closed form requires dim_a = 2")
 
     entry = {
         "value": float(result.value),
@@ -147,7 +143,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--from {args.start} exceeds --to {args.stop}")
     params = np.linspace(args.start, args.stop, args.steps)
     measures = MEASURES if args.measure == "all" else (args.measure,)
-    rows = sweep(args.family, params, measures=measures, dim=args.dim, budget=args.budget)
+    rows = sweep(args.family, params, measures=measures, dim=args.dim)
     if args.format == "json":
         payload = [dataclasses.asdict(row) for row in rows]
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
@@ -196,29 +192,26 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument(
         "--seed", type=int, default=0, help="seed of verify's random states (compute echoes it)"
     )
-    optimizing = argparse.ArgumentParser(add_help=False)
-    optimizing.add_argument(
+
+    p_compute = sub.add_parser(
+        "compute", parents=[common, seeded], help="compute measures for a state file"
+    )
+    p_compute.add_argument("--state", required=True, help="path to a JSON state file")
+    p_compute.add_argument(
+        "--measure", choices=["affinity", "hs", "remedied", "all"], default="affinity"
+    )
+    p_compute.add_argument("--method", choices=["auto", "optimize"], default="auto")
+    p_compute.add_argument(
         "--budget",
         type=int,
         default=None,
         help=f"cap on the pair steps of all starts, at least 1 (default {BUDGET_DEFAULT}): "
         "dim_a starts for dim_a >= 3, one start for dim_a <= 2",
     )
-
-    p_compute = sub.add_parser(
-        "compute", parents=[common, seeded, optimizing], help="compute measures for a state file"
-    )
-    p_compute.add_argument("--state", required=True, help="path to a JSON state file")
-    p_compute.add_argument(
-        "--measure", choices=["affinity", "hs", "remedied", "all"], default="affinity"
-    )
-    p_compute.add_argument(
-        "--method", choices=["auto", "closed", "bound", "optimize"], default="auto"
-    )
     p_compute.set_defaults(fn=cmd_compute)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common, optimizing], help="tabulate a family over a parameter grid"
+        "sweep", parents=[common], help="tabulate a family over a parameter grid"
     )
     p_sweep.add_argument("--family", choices=["werner2", "werner", "isotropic"], required=True)
     p_sweep.add_argument("--dim", type=int, default=None, help="subsystem dimension m")
@@ -251,7 +244,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _require_seed(vars(args).get("seed", 0))  # compute and verify
-        _require_budget(vars(args).get("budget"))  # compute and sweep; None is the default
+        _require_budget(vars(args).get("budget"))  # compute only; None is the default
         if args.out:
             _check_out(args.out)
         return args.fn(args)

@@ -195,10 +195,15 @@ def _require_basis(state: BipartiteState, basis: MeasurementBasis) -> None:
 def post_measurement(state: BipartiteState, basis: MeasurementBasis) -> BipartiteState:
     """Checked pinched state sum_k (Pi_k x 1) rho (Pi_k x 1); idempotent and trace preserving."""
     _require_basis(state, basis)
+    # pinch with the polar factor of the kets: the nearest orthonormal kets, so a basis
+    # within the gate's defect still preserves the trace to round-off
+    u, _, vh = np.linalg.svd(basis.vectors)
+    kets = u @ vh
     rho = np.asarray(state.rho)
     eye_b = np.eye(state.dim_b, dtype=np.complex128)
     pinched = np.zeros_like(rho)
-    for proj in basis.projectors:
+    for ket in kets:
+        proj = np.outer(ket, ket.conj())
         big = np.kron(proj, eye_b)
         pinched += big @ rho @ big
     return BipartiteState(state.dim_a, state.dim_b, pinched)

@@ -128,16 +128,6 @@ def test_compute_three_level_werner_optimizes(tmp_path, capsys):
     assert entry["value"] == pytest.approx(werner_general_discords(3, 0.9)[0], abs=1e-4)
 
 
-def test_compute_bound_method(tmp_path, capsys):
-    path = tmp_path / "werner.json"
-    save_state(werner_two_qubit(0.8), path)
-    code, out, _ = run_cli(capsys, "compute", "--state", str(path), "--method", "bound")
-    assert code == 0
-    entry = json.loads(out)["measures"]["affinity"]
-    assert entry["method"] == "bound"
-    assert entry["value"] <= entry["bound_clamped"] + 1e-12
-
-
 @pytest.mark.parametrize("dim_b,has_bound", [(32, True), (33, False)])
 def test_compute_reports_the_bound_up_to_dimension_64(tmp_path, capsys, dim_b, has_bound):
     path = tmp_path / "state.json"
@@ -149,15 +139,18 @@ def test_compute_reports_the_bound_up_to_dimension_64(tmp_path, capsys, dim_b, h
     assert ("bound" in entry) == ("bound_clamped" in entry) == has_bound
 
 
-def test_compute_bound_method_reports_the_bound_above_dimension_64(tmp_path, capsys):
-    # --method bound computes the bound at any size, so it reports it unclamped too
+@pytest.mark.parametrize("measure", ["affinity", "remedied"])
+def test_compute_reports_the_bound_alone_above_the_optimizer_cap(tmp_path, capsys, measure):
+    # above dim_a = 8 the default route reports the spectral bound, clamped, as the value
     path = tmp_path / "state.json"
-    save_state(random_state(2, 33, rank=2, seed=1), path)
-    code, out, _ = run_cli(capsys, "compute", "--state", str(path), "--method", "bound")
-    assert code == 0
-    entry = json.loads(out)["measures"]["affinity"]
+    save_state(random_state(9, 2, seed=0), path)
+    code, out, err = run_cli(capsys, "compute", "--state", str(path), "--measure", measure)
+    assert code == 0, err
+    entry = json.loads(out)["measures"][measure]
     assert entry["method"] == "bound"
     assert entry["value"] == entry["bound_clamped"] == max(0.0, entry["bound"])
+    assert entry["evaluations"] == 0
+    assert entry["optimal_measurement"] is None
 
 
 def test_compute_invalid_state_exits_2(tmp_path, capsys):
@@ -262,11 +255,15 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("method", ["auto", "optimize"])
-@pytest.mark.parametrize("dim_a", [2, 3])
-def test_compute_one_dimensional_b_is_zero(tmp_path, capsys, dim_a, method):
-    # with a one-dimensional B nothing is correlated: every measure is 0
-    path = tmp_path / "mx1.json"
-    save_state(random_state(dim_a, 1, seed=dim_a), path)
+@pytest.mark.parametrize(
+    "dim_a,dim_b",
+    [pytest.param(2, 1, id="2"), pytest.param(3, 1, id="3"), pytest.param(1, 3, id="1x3")],
+)
+def test_compute_one_dimensional_b_is_zero(tmp_path, capsys, dim_a, dim_b, method):
+    # with a one-dimensional party nothing is correlated: every measure is 0; a one-level
+    # A takes the optimizer, never the bound-alone route above the cap
+    path = tmp_path / "state.json"
+    save_state(random_state(dim_a, dim_b, seed=dim_a), path)
     code, out, err = run_cli(
         capsys, "compute", "--state", str(path), "--measure", "all", "--method", method
     )
@@ -277,11 +274,14 @@ def test_compute_one_dimensional_b_is_zero(tmp_path, capsys, dim_a, method):
 
 
 def test_compute_unsupported_dimension_exits_3(tmp_path, capsys):
+    # --method optimize and the Hilbert-Schmidt measure always optimize: no bound-alone route
     path = tmp_path / "big.json"
     save_state(validate(np.eye(9) / 9.0, 9, 1), path)
-    code, _, err = run_cli(capsys, "compute", "--state", str(path), "--method", "optimize")
-    assert code == 3
-    assert json.loads(err)["error"] == "UnsupportedDimensionError"
+    for flag in (["--method", "optimize"], ["--measure", "hs"]):
+        code, out, err = run_cli(capsys, "compute", "--state", str(path), *flag)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "UnsupportedDimensionError"
 
 
 def test_sweep_werner2_fig_data(tmp_path, capsys):
@@ -408,11 +408,14 @@ _SWEEP_ARGV = ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--st
         (["verify"], ["--strategy", "hybrid"]),
         (_COMPUTE_ARGV, ["--format", "json"]),
         (_SWEEP_ARGV, ["--seed", "3"]),
+        (_SWEEP_ARGV, ["--budget", "5"]),
+        (_COMPUTE_ARGV, ["--method", "closed"]),
+        (_COMPUTE_ARGV, ["--method", "bound"]),
     ],
     ids=[
         "compute-tol-key", "sweep-tol-key", "verify-tol-key", "verify-budget",
         "compute-strategy", "sweep-strategy", "verify-strategy", "compute-format",
-        "sweep-seed",
+        "sweep-seed", "sweep-budget", "compute-method-closed", "compute-method-bound",
     ],
 )
 def test_unused_flag_exits_2(argv, flag, capsys):
@@ -449,18 +452,15 @@ def test_compute_budget_below_one_exits_2(tmp_path, capsys):
     "argv",
     [
         ["compute", "--state", "state.json", "--budget", "-5"],
-        ["compute", "--state", "state.json", "--method", "bound", "--budget", "0"],
-        ["sweep", "--family", "werner2", "--from", "0", "--to", "1", "--steps", "2", "--budget", "0"],
     ],
-    ids=["compute-closed", "compute-bound", "sweep"],
+    ids=["compute-closed"],
 )
 def test_budget_below_one_exits_2_before_any_state_is_read(capsys, monkeypatch, argv):
-    # the closed and bound routes never run the optimizer, which also refuses it
+    # the closed-form and bound-alone routes never run the optimizer, which also refuses it
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --budget was checked")
 
-    for name in ("load_state", "sweep"):
-        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(cli, "load_state", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -73,10 +73,11 @@ def test_basis_completeness_and_orthogonality():
 _BASIS_ENTRIES = [post_measurement, affinity_discord_at, hs_discord_at]
 
 
-@pytest.mark.parametrize("factor,raises", [(0.5, False), (2.0, True)])
+@pytest.mark.parametrize("factor,raises", [(0.5, False), (0.9, False), (2.0, True)])
 def test_basis_orthonormality_gate_sits_at_its_bound(factor, raises):
-    # the Gram matrix of diag(sqrt(1 + d), 1) is off the identity by d
-    basis = MeasurementBasis(2, np.diag([np.sqrt(1.0 + factor * 1e-10), 1.0]))
+    # the Gram matrix of sqrt(1 + d) * 1 is off the identity by d; pinched with these
+    # stretched kets as they are, the trace would reach 1 + 2d, past UNIT_TRACE
+    basis = MeasurementBasis(2, np.eye(2) * np.sqrt(1.0 + factor * 1e-10))
     state = werner_two_qubit(0.5)
     for entry in _BASIS_ENTRIES:
         if raises:
