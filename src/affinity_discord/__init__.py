@@ -1,10 +1,11 @@
 """Affinity-based geometric quantum discord for bipartite states.
 
-Closed forms for pure states and for a two-level measured party, a spectral
-lower bound from the square-root correlation matrix (the m-level form of the
-two-level closed form), brute-force optimization over projective
-measurements, and analytic formulas for the Bell-diagonal, Werner, and
-isotropic families.
+``discord(state, measure)`` picks the route: the closed forms for pure states
+and for a two-level measured party, brute-force optimization over projective
+measurements, and above the optimizer's cap a spectral lower bound from the
+square-root correlation matrix (the m-level form of the two-level closed
+form). Each route is public too, as are analytic formulas for the
+Bell-diagonal, Werner, and isotropic families.
 
 Some exports are called only by the tests and stay on purpose.
 ``post_measurement``, ``affinity_discord_at`` and ``hs_discord_at`` are the
@@ -16,7 +17,7 @@ the benchmark traces them by name until the bound moves onto the overlap
 kernel.
 """
 
-from .correlation import closed_form_2xn, correlation_matrix, gell_mann_basis, lower_bound
+from .correlation import closed_form_2xn, correlation_matrix, discord, gell_mann_basis, lower_bound
 from .errors import (
     DimensionMismatchError,
     InvalidBlochVectorError,

@@ -16,25 +16,14 @@ import sys
 
 import numpy as np
 
-from . import linalg
-from .correlation import closed_form_2xn, lower_bound
+from .correlation import discord, lower_bound
 from .errors import UnsupportedDimensionError, ValidationError, _require_int
-from .families import MEASURES, sweep, sweep_to_csv
-from .measures import (
-    BUDGET_DEFAULT,
-    MAX_OPT_DIM,
-    DiscordResult,
-    _require_budget,
-    _require_seed,
-    optimize_affinity_discord,
-    optimize_hs_discord,
-    pure_discord,
-    remedied_hs_discord,
-)
-from .states import BipartiteState, PureState, load_state, schmidt_spectrum
+from .families import SWEEP_MEASURES, sweep, sweep_to_csv
+from .measures import BUDGET_DEFAULT, MEASURES, _optimizer, _require_budget, _require_seed
+from .states import _as_pure, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
-_BOUND_MAX_DIM = 64  # larger systems get the bound only as the value above MAX_OPT_DIM
+_BOUND_MAX_DIM = 64  # larger systems get the bound only on discord's bound route
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -48,7 +37,7 @@ def _complex_cells(matrix: np.ndarray) -> list:
     ]
 
 
-def _measurement_payload(result: DiscordResult):
+def _measurement_payload(result):
     if result.optimal_measurement is None:
         return None
     payload = {"vectors": _complex_cells(result.optimal_measurement.vectors)}
@@ -57,52 +46,20 @@ def _measurement_payload(result: DiscordResult):
     return payload
 
 
-def _as_pure(state: BipartiteState) -> PureState | None:
-    """The state as a pure state when one eigenvalue survives the square root's snap, else None.
-
-    Reads the eigendecomposition that the loaded state keeps.
-    """
-    w, v = state.eigh
-    if np.count_nonzero(linalg.snap_spectrum(w)) != 1:
-        return None
-    amps = v[:, -1]
-    return PureState(state.dim_a, state.dim_b, amps / np.linalg.norm(amps))
-
-
-def _measure_entry(state, psi, measure, method, budget) -> dict:
-    """Run one measure; ``psi`` is the state as a pure state, or None.
-
-    ``auto`` takes, for the affinity and remedied measures, the pure closed
-    form, then the two-level closed form, then the optimizer up to
-    ``MAX_OPT_DIM``, and above it the spectral bound alone. The HS measure and
-    ``optimize`` always optimize, so a dim_a above the cap exits 3 there. On
-    every other route the spectral bound is computed after the result, so a
-    dimension the result rejects exits 3 before the bound sees it.
-    """
-    closed = method == "auto" and measure != "hs"
-    raw_bound = None
-    if closed and psi is not None:
-        result = pure_discord(psi)
-    elif closed and state.dim_a == 2:
-        result = closed_form_2xn(state)
-    elif closed and state.dim_a > MAX_OPT_DIM:
-        raw_bound = lower_bound(state)
-        result = DiscordResult(max(raw_bound, 0.0), "bound")
+def _measure_entry(state, measure, method, budget) -> dict:
+    """One measure's entry: ``auto`` is ``discord``'s route, ``optimize`` the optimizer. Off the
+    bound route the bound comes after the result, so a dimension it rejects exits 3 first."""
+    if method == "auto":
+        result = discord(state, measure, budget)
     else:
-        # looked up per call, so a rebinding of these names (perfbench's tracer) takes effect
-        optimizer = {
-            "affinity": optimize_affinity_discord,
-            "hs": optimize_hs_discord,
-            "remedied": remedied_hs_discord,
-        }[measure]
-        result = optimizer(state, budget=budget)
-
+        result = _optimizer(measure)(state, budget=budget)
     entry = {
         "value": float(result.value),
         "method": result.method,
         "evaluations": int(result.evaluations),
         "optimal_measurement": _measurement_payload(result),
     }
+    raw_bound = result.bound
     if raw_bound is None and measure != "hs" and state.dim <= _BOUND_MAX_DIM:
         raw_bound = lower_bound(state)
     if raw_bound is not None:
@@ -114,8 +71,8 @@ def _measure_entry(state, psi, measure, method, budget) -> dict:
 def cmd_compute(args) -> int:
     state = load_state(args.state)
     psi = _as_pure(state)
-    measures = ["affinity", "hs", "remedied"] if args.measure == "all" else [args.measure]
-    entries = {m: _measure_entry(state, psi, m, args.method, args.budget) for m in measures}
+    measures = MEASURES if args.measure == "all" else [args.measure]
+    entries = {m: _measure_entry(state, m, args.method, args.budget) for m in measures}
     diagnostics = {
         "purity": state.purity(),
         "marginal_spectrum_a": [float(x) for x in np.linalg.eigvalsh(state.marginal("a"))],
@@ -142,7 +99,7 @@ def cmd_sweep(args) -> int:
     if args.start > args.stop:
         raise ValidationError(f"--from {args.start} exceeds --to {args.stop}")
     params = np.linspace(args.start, args.stop, args.steps)
-    measures = MEASURES if args.measure == "all" else (args.measure,)
+    measures = SWEEP_MEASURES if args.measure == "all" else (args.measure,)
     rows = sweep(args.family, params, measures=measures, dim=args.dim)
     if args.format == "json":
         payload = [dataclasses.asdict(row) for row in rows]
@@ -197,9 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compute", parents=[common, seeded], help="compute measures for a state file"
     )
     p_compute.add_argument("--state", required=True, help="path to a JSON state file")
-    p_compute.add_argument(
-        "--measure", choices=["affinity", "hs", "remedied", "all"], default="affinity"
-    )
+    p_compute.add_argument("--measure", choices=[*MEASURES, "all"], default="affinity")
     p_compute.add_argument("--method", choices=["auto", "optimize"], default="auto")
     p_compute.add_argument(
         "--budget",
@@ -218,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.add_argument("--measure", choices=[*MEASURES, "all"], default="all")
+    p_sweep.add_argument("--measure", choices=[*SWEEP_MEASURES, "all"], default="all")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     p_sweep.set_defaults(fn=cmd_sweep)
 

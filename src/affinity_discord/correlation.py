@@ -23,8 +23,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError, WrongDimensionError, _require_int
-from .measures import DiscordResult, MeasurementBasis, _qubit_kets
-from .states import BipartiteState
+from .measures import (
+    MAX_OPT_DIM,
+    DiscordResult,
+    MeasurementBasis,
+    _optimizer,
+    _qubit_kets,
+    _require_budget,
+    pure_discord,
+)
+from .states import BipartiteState, _as_pure
 from .tolerances import GAMMA_IMAG
 
 
@@ -160,3 +168,27 @@ def closed_form_2xn(state: BipartiteState) -> DiscordResult:
     direction = vecs[:, -1]
     basis = MeasurementBasis(2, _qubit_kets(direction))
     return DiscordResult(value, "closed-2xn", basis, parameters=direction, evaluations=0)
+
+
+def discord(
+    state: BipartiteState, measure: str = "affinity", budget: int | None = None
+) -> DiscordResult:
+    """The discord of ``state`` by one of ``MEASURES`` (else ``UnknownFamilyError``).
+
+    Affinity and remedied take the pure closed form for a rank-1 state, the two-level
+    closed form for dim_a = 2, the optimizer up to ``MAX_OPT_DIM``, and above it the
+    spectral bound alone. HS always optimizes, so above the cap it raises
+    ``UnsupportedDimensionError``. ``budget`` is the optimizer's.
+    """
+    optimizer = _optimizer(measure)
+    budget = _require_budget(budget)
+    if measure != "hs":
+        psi = _as_pure(state)
+        if psi is not None:
+            return pure_discord(psi)
+        if state.dim_a == 2:
+            return closed_form_2xn(state)
+        if state.dim_a > MAX_OPT_DIM:
+            bound = lower_bound(state)
+            return DiscordResult(max(bound, 0.0), "bound", bound=bound)
+    return optimizer(state, budget=budget)

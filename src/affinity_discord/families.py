@@ -7,30 +7,19 @@ parameter grid. Each formula runs its family's domain check in ``states``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import linalg, states
-from .errors import OutOfRangeError, UnknownFamilyError, _require_int
-from .measures import (
-    _require_optimizable,
-    _require_seed,
-    optimize_affinity_discord,
-    optimize_hs_discord,
-)
-from .states import (
-    BipartiteState,
-    bell_diagonal,
-    bell_diagonal_weights,
-    isotropic,
-    werner_general,
-    werner_two_qubit,
-)
+from .errors import InvalidBlochVectorError, OutOfRangeError, UnknownFamilyError, _require_int
+from .measures import _optimizer, _require_optimizable, _require_seed
+from .states import bell_diagonal, isotropic, werner_general, werner_two_qubit
 
 FAMILIES = ("werner2", "belldiag", "werner", "isotropic")
-MEASURES = ("affinity", "hs")
+SWEEP_MEASURES = ("affinity", "hs")  # the columns of every family oracle
 
 
 def _safe_sqrt(x: float) -> float:
@@ -44,7 +33,7 @@ def bell_diagonal_discord(c1: float, c2: float, c3: float) -> float:
     sqrt(rho) = (h 1 + sum_j d_j sigma_j x sigma_j) / 4, with h and d_j the
     signed sums of the square roots r of the Bell-basis weights.
     """
-    lams = bell_diagonal_weights(c1, c2, c3)
+    lams = states.bell_diagonal_weights(c1, c2, c3)
     r = np.sqrt(linalg.snap_spectrum(lams))  # the matrix square root's round-off rule
     h = float(np.sum(r))
     d = np.array(
@@ -59,7 +48,7 @@ def bell_diagonal_discord(c1: float, c2: float, c3: float) -> float:
 
 def bell_diagonal_hs_discord(c1: float, c2: float, c3: float) -> float:
     """Hilbert-Schmidt discord of a Bell-diagonal state: (c1^2+c2^2+c3^2 - max c_i^2)/4."""
-    bell_diagonal_weights(c1, c2, c3)  # the domain check
+    states.bell_diagonal_weights(c1, c2, c3)  # the domain check
     c2s = np.array([c1, c2, c3]) ** 2
     return float(np.sum(c2s) - np.max(c2s)) / 4.0
 
@@ -114,31 +103,37 @@ class SweepRow:
     gap: float
 
 
-def _family_point(
-    family: str, param, dim: int | None
-) -> tuple[BipartiteState, Callable[[], tuple[float, float]]]:
-    """The family's state at ``param``, and an oracle returning its (affinity, HS) discords.
+def _family_point(family: str, param, dim: int | None):
+    """A builder of the family's state at ``param``, and an oracle of its (affinity, HS) discords.
 
-    ``sweep`` has checked the family and the dimension. The oracle looks its
-    formulas up by module name when called, so a rebinding of these names
-    (perfbench's tracer) takes effect.
+    ``param`` is checked here, before either runs: three real numbers for belldiag (else
+    ``InvalidBlochVectorError``), one for the other families (else ``OutOfRangeError``).
+    ``sweep`` has checked the family and the dimension. Both look their functions up by
+    module name when called, so a rebinding of these names (perfbench's tracer) takes effect.
     """
-    if family == "werner2":
-        p = float(param)
-        return werner_two_qubit(p), lambda: werner_two_qubit_discords(p)
     if family == "belldiag":
-        c = tuple(float(x) for x in param)
-        return bell_diagonal(*c), lambda: (bell_diagonal_discord(*c), bell_diagonal_hs_discord(*c))
+        c = tuple(param) if isinstance(param, (tuple, list)) or np.ndim(param) == 1 else ()
+        if len(c) != 3 or not all(isinstance(x, numbers.Real) for x in c):
+            raise InvalidBlochVectorError(f"belldiag takes three real numbers, got {param!r}")
+        c = tuple(float(x) for x in c)
+        return lambda: bell_diagonal(*c), lambda: (
+            bell_diagonal_discord(*c),
+            bell_diagonal_hs_discord(*c),
+        )
+    if not isinstance(param, numbers.Real):
+        raise OutOfRangeError(f"{family} takes one real number, got {param!r}")
     x = float(param)
+    if family == "werner2":
+        return lambda: werner_two_qubit(x), lambda: werner_two_qubit_discords(x)
     if family == "werner":
-        return werner_general(dim, x), lambda: werner_general_discords(dim, x)
-    return isotropic(dim, x), lambda: isotropic_discords(dim, x)
+        return lambda: werner_general(dim, x), lambda: werner_general_discords(dim, x)
+    return lambda: isotropic(dim, x), lambda: isotropic_discords(dim, x)
 
 
 def sweep(
     family: str,
     params: Iterable,
-    measures: Sequence[str] = MEASURES,
+    measures: Sequence[str] = SWEEP_MEASURES,
     dim: int | None = None,
     budget: int | None = None,
     seed=0,
@@ -147,27 +142,28 @@ def sweep(
 
     ``dim`` is m for werner and isotropic (an integer from 2 to the optimizer's cap,
     checked before any state is built), and must be left out for werner2 and belldiag.
-    Rows are ordered by grid index then measure, and the output is deterministic. ``seed``
-    is checked and then unused, because no optimizer reads a seed; it stays only
-    because the benchmark's workloads pass it, and goes when they stop.
+    So is every parameter (``_family_point``). Rows are ordered by grid index then measure, and
+    the output is deterministic. ``seed`` is checked and then unused, because no optimizer
+    reads a seed; it stays only because the benchmark's workloads pass it, and goes when
+    they stop.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; choose from {FAMILIES}")
     for measure in measures:
-        if measure not in MEASURES:
-            raise UnknownFamilyError(f"unknown measure {measure!r}; choose from {MEASURES}")
+        if measure not in SWEEP_MEASURES:
+            raise UnknownFamilyError(f"unknown measure {measure!r}; choose from {SWEEP_MEASURES}")
     if (dim is None) == (family in ("werner", "isotropic")):
         raise OutOfRangeError(f"family {family!r}: only werner and isotropic take dim, and need it")
     _require_seed(seed)
     if dim is not None:
         _require_optimizable(_require_int(dim, "dim", 2))
+    points = [(param, *_family_point(family, param, dim)) for param in params]
     rows: list[SweepRow] = []
-    for param in params:
-        state, oracle = _family_point(family, param, dim)
+    for param, build, oracle in points:
+        state = build()
         for measure in measures:
-            analytic = oracle()[MEASURES.index(measure)]
-            run = optimize_affinity_discord if measure == "affinity" else optimize_hs_discord
-            optimized = run(state, budget=budget).value
+            analytic = oracle()[SWEEP_MEASURES.index(measure)]
+            optimized = _optimizer(measure)(state, budget=budget).value
             gap = abs(analytic - optimized)
             rows.append(SweepRow(family, param, measure, analytic, optimized, gap))
     return rows

@@ -37,6 +37,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    UnknownFamilyError,
     UnsupportedDimensionError,
     ValidationError,
     _require_int,
@@ -44,6 +45,7 @@ from .errors import (
 from .states import BipartiteState, PureState, _require_density
 from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 
+MEASURES = ("affinity", "hs", "remedied")
 MAX_OPT_DIM = 8
 GRID_THETA = 181
 GRID_PHI = 360
@@ -99,7 +101,8 @@ class DiscordResult:
     ``method`` is one of closed-pure, closed-2xn, bound, optimized-local.
     closed-2xn carries the Bloch direction in ``parameters``; optimized-local
     comes from the Jacobi sweeps, for one- and two-level A too, with
-    ``evaluations`` counting the pair steps of all starts.
+    ``evaluations`` counting the pair steps of all starts. ``bound`` is set on the
+    bound route alone: the unclamped spectral bound, with ``value = max(bound, 0)``.
     """
 
     value: float
@@ -107,6 +110,7 @@ class DiscordResult:
     optimal_measurement: MeasurementBasis | None = None
     parameters: np.ndarray | None = None
     evaluations: int = 0
+    bound: float | None = None
 
 
 # --- overlap kernel ----------------------------------------------------------
@@ -388,3 +392,11 @@ def remedied_hs_discord(state: BipartiteState, budget: int | None = None) -> Dis
     measure. Tr(sqrt(rho)^2) = 1 for a unit-trace state, so the offset is 1.
     """
     return _optimize(state, state.sqrt(), 1.0, budget)
+
+
+def _optimizer(measure: str):
+    """The optimizer of ``measure``; built per call, so perfbench's tracer can rebind the names."""
+    if measure not in MEASURES:
+        raise UnknownFamilyError(f"unknown measure {measure!r}; choose from {MEASURES}")
+    optimizers = (optimize_affinity_discord, optimize_hs_discord, remedied_hs_discord)
+    return optimizers[MEASURES.index(measure)]

@@ -105,6 +105,16 @@ class PureState:
         return validate(rho, self.dim_a, self.dim_b)
 
 
+def _as_pure(state: BipartiteState) -> PureState | None:
+    """The state as a pure state when one eigenvalue of its kept ``eigh`` survives the
+    square root's snap, else None."""
+    w, v = state.eigh
+    if np.count_nonzero(linalg.snap_spectrum(w)) != 1:
+        return None
+    amps = v[:, -1]
+    return PureState(state.dim_a, state.dim_b, amps / np.linalg.norm(amps))
+
+
 def _require_density(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate an arbitrary matrix as a density matrix; returns the symmetrized array and its eigh."""
     arr = linalg.as_matrix(mat)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .correlation import closed_form_2xn, correlation_matrix, lower_bound
+from .correlation import closed_form_2xn, correlation_matrix, discord, lower_bound
 from .errors import ValidationError
 from .families import (
     bell_diagonal_discord,
@@ -35,7 +35,6 @@ from .measures import (
     optimize_hs_discord,
 )
 from .states import (
-    BipartiteState,
     append_ancilla,
     classical_quantum,
     isotropic,
@@ -237,20 +236,14 @@ def check_zero_discord_classes(seed) -> CheckResult:
         probs = rng.dirichlet(np.ones(dim_a))
         blocks = [random_density(2, seed=_child(seed)) for _ in range(dim_a)]
         state = classical_quantum(probs, blocks)
-        worst = max(worst, abs(_auto_affinity_value(state)))
+        worst = max(worst, abs(discord(state).value))
     for i in range(10):
         dim_a = 2 if i < 7 else 3
         a = random_density(dim_a, seed=_child(seed))
         b = random_density(3 if dim_a == 2 else 2, seed=_child(seed))
         state = product_state(a, b)
-        worst = max(worst, abs(_auto_affinity_value(state)))
+        worst = max(worst, abs(discord(state).value))
     return _result("zero_discord_classes", {"zero_discord": worst}, {"states": 20})
-
-
-def _auto_affinity_value(state: BipartiteState) -> float:
-    if state.dim_a == 2:
-        return closed_form_2xn(state).value
-    return optimize_affinity_discord(state).value
 
 
 def check_local_unitary_invariance(seed) -> CheckResult:

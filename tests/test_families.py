@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from affinity_discord.correlation import closed_form_2xn
+from affinity_discord import families
 from affinity_discord.errors import (
     InvalidBlochVectorError,
     OutOfRangeError,
@@ -285,6 +286,36 @@ def test_sweep_unknown_family_and_missing_dim():
         sweep("ghz", [0.1])
     with pytest.raises(OutOfRangeError):
         sweep("werner", [0.1])
+
+
+@pytest.mark.parametrize(
+    "family, param, dim, error",
+    [
+        ("belldiag", 0.1, None, InvalidBlochVectorError),
+        ("belldiag", (0.1, 0.2), None, InvalidBlochVectorError),
+        ("belldiag", (0.1, 0.2, 0.3, 0.4), None, InvalidBlochVectorError),
+        ("belldiag", ("0.1", 0.2, 0.3), None, InvalidBlochVectorError),
+        ("belldiag", np.array(0.1), None, InvalidBlochVectorError),
+        ("werner2", (0.1, 0.2), None, OutOfRangeError),
+        ("werner2", None, None, OutOfRangeError),
+        ("werner2", "abc", None, OutOfRangeError),
+        ("werner2", "0.5", None, OutOfRangeError),
+        ("werner", [0.5], 3, OutOfRangeError),
+        ("isotropic", 0.5j, 3, OutOfRangeError),
+    ],
+)
+def test_sweep_refuses_a_malformed_parameter_before_any_state(
+    monkeypatch, family, param, dim, error
+):
+    # a well-formed first point must not be built either: every point is checked first
+    def refuse(*args, **kwargs):
+        raise AssertionError("a state was built before the parameters were checked")
+
+    for name in ("werner_two_qubit", "bell_diagonal", "werner_general", "isotropic"):
+        monkeypatch.setattr(families, name, refuse)
+    good = (0.1, 0.2, 0.3) if family == "belldiag" else 0.5
+    with pytest.raises(error):
+        sweep(family, [good, param], dim=dim)
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ PUBLIC_API = [
     "classical_quantum",
     "closed_form_2xn",
     "correlation_matrix",
+    "discord",
     "frobenius_norm_sq",
     "gell_mann_basis",
     "haar_unitary",

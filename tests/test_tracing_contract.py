@@ -10,6 +10,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from affinity_discord import cli
 from affinity_discord.states import random_state, save_state
 
@@ -37,14 +39,17 @@ def test_traced_functions_resolve():
         assert fn.__module__ == module.__name__, f"{mod_name}.{fn_name} is not defined there"
 
 
-def test_compute_optimizers_are_traced(tmp_path):
+@pytest.mark.parametrize("method", ["optimize", "auto"])
+def test_compute_optimizers_are_traced(tmp_path, method):
+    # a mixed 3x2 state takes the optimizer on both methods, so the route's
+    # optimizer lookup must go through names the tracer rebinds
     path = tmp_path / "state.json"
     save_state(random_state(3, 2, seed=5), path)
     tracer = _tracing_module().Tracer()
     tracer.install()
     try:
         code = cli.main(
-            ["compute", "--state", str(path), "--method", "optimize", "--measure", "all",
+            ["compute", "--state", str(path), "--method", method, "--measure", "all",
              "--budget", "300", "--out", str(tmp_path / "out.json")]
         )
     finally:
