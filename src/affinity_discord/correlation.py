@@ -84,16 +84,22 @@ def _gell_mann_layout(d: int) -> _Layout:
     return layout
 
 
-@functools.lru_cache(maxsize=2, typed=True)  # typed: 2.0 must not hit the entry of 2
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 2.0 must not hit the entry of 2
 def gell_mann_basis(d: int) -> np.ndarray:
     """Generalized Gell-Mann basis, shape (d^2, d, d), unit Hilbert-Schmidt norm each.
 
     Order: identity/sqrt(d), then symmetric pairs, antisymmetric pairs,
     and diagonal elements (``_gell_mann_layout``). A one-level party gets the
     single element {1}, with no traceless part. The table depends only on
-    ``d`` and is kept for the last two dimensions asked for (A's and B's in
-    ``correlation_matrix``), so every caller shares one read-only array; copy
-    it before writing.
+    ``d`` and, like the layout, is kept for every dimension asked for, for the
+    life of the process, so every caller shares one read-only array; copy it
+    before writing. The cache is typed, so a float dimension is refused even
+    when the integer one is cached.
+
+    Each dimension kept costs d^4 * 16 bytes: 16 MiB at d = 32, 256 MiB at
+    d = 64 and 4 GiB at d = 128, although ``correlation_matrix`` reads only
+    the table's O(d^2) nonzeros. A process that expands a 2 x 64 state holds
+    the 256 MiB table until it exits.
     """
     d = _require_int(d, "basis dimension d", 1)
     j, k, sym, asym, diag_slots = _gell_mann_layout(d)[:5]

@@ -67,7 +67,7 @@ def snap_spectrum(w) -> np.ndarray:
     Eigenvalues at relative round-off level are numerical zeros; a square root
     would amplify them to sqrt(eps)-sized artifacts.
     """
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     if w.size:
         w[w < np.max(w) * w.size * np.finfo(np.float64).eps] = 0.0
     return w

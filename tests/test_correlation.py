@@ -91,10 +91,18 @@ def test_gell_mann_table_is_shared_and_read_only():
         basis[1, 0, 1] = 0.0
 
 
-def test_gell_mann_cache_holds_two_dimensions_of_reference_tables():
-    for d in [2, 3, 4, 5, 6, 2, 6, 6, 3]:
-        assert gell_mann_basis(d).tobytes() == _gell_mann_by_loops(d).tobytes()
-        assert gell_mann_basis.cache_info().currsize <= 2
+def test_gell_mann_cache_builds_each_dimension_once():
+    # every dimension keeps its table for the life of the process: a revisit
+    # rebuilds nothing and hands back the same read-only array
+    gell_mann_basis.cache_clear()
+    sequence = [2, 3, 4, 5, 6, 2, 6, 6, 3]
+    first = {}
+    for d in sequence:
+        basis = gell_mann_basis(d)
+        assert basis.tobytes() == _gell_mann_by_loops(d).tobytes()
+        assert not basis.flags.writeable
+        assert first.setdefault(d, basis) is basis
+    assert gell_mann_basis.cache_info().misses == len(set(sequence))
 
 
 def test_gell_mann_type_rule_holds_on_a_cache_hit():

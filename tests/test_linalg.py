@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from affinity_discord import linalg
 from affinity_discord.errors import (
@@ -10,6 +12,7 @@ from affinity_discord.errors import (
     NonSquareError,
     NotPSDError,
 )
+from affinity_discord.tolerances import PSD_EPSILON
 
 
 def random_psd(rng, d, rank=None):
@@ -54,6 +57,35 @@ def test_sqrt_clamps_tiny_negative_eigenvalues():
     m = np.diag([1.0, -1e-9]).astype(complex)
     s = linalg.matrix_sqrt_psd(m)
     assert s[1, 1] == 0.0
+
+
+def _snap_by_clip(w):
+    # snap_spectrum as first written, with np.clip
+    w = np.clip(w, 0.0, None)
+    if w.size:
+        w[w < np.max(w) * w.size * np.finfo(np.float64).eps] = 0.0
+    return w
+
+
+_SPECTRUM_ENTRY = st.one_of(
+    st.tuples(st.just("exact"), st.sampled_from([0.0, -0.0])),
+    st.tuples(st.just("exact"), st.floats(-PSD_EPSILON, 0.0, exclude_max=True)),
+    # a multiple of the cut size * eps * max: below it, on it, or above it
+    st.tuples(st.just("cut"), st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.5, 2.0)),
+)
+
+
+@given(top=st.floats(1e-12, 1e3) | st.none(), entries=st.lists(_SPECTRUM_ENTRY, max_size=12))
+def test_snap_spectrum_matches_the_clip_form_bit_for_bit(top, entries):
+    # without a positive top entry every value is a zero or a round-off negative
+    cut = (len(entries) + 1) * np.finfo(np.float64).eps * (top or 0.0)
+    values = [x if tag == "exact" else x * cut for tag, x in entries]
+    if top is not None:
+        values.append(top)
+    w = np.array(values, dtype=np.float64)
+    before = w.tobytes()
+    assert linalg.snap_spectrum(w).tobytes() == _snap_by_clip(w).tobytes()
+    assert w.tobytes() == before
 
 
 def test_sqrt_rejects_indefinite():

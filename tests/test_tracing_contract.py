@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from affinity_discord import cli
+from affinity_discord import cli, correlation
 from affinity_discord.states import random_state, save_state
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -98,3 +98,20 @@ def test_compute_items_match_expected_call_counts(tmp_path):
         tracer.uninstall()
     kinds = {index: item.kind for index, item in enumerate(picked)}
     assert tracing.check_call_counts(tracer.per_item(), kinds, workload.expected_calls) == []
+
+
+def test_a_second_compute_pass_builds_no_gell_mann_table(tmp_path):
+    # every table a compute_qubit pass asks for (dim_b 2 to 32, with the
+    # ancillas) is built once per process: after a warm pass, none is rebuilt
+    workload = _load("workloads").ComputeQubit(seed=1, workdir=str(tmp_path))
+    items = workload.build()
+    for item in items:
+        assert workload.call(item) == cli.EXIT_OK
+    before = correlation.gell_mann_basis.cache_info()
+    for item in items:
+        assert workload.call(item) == cli.EXIT_OK
+    after = correlation.gell_mann_basis.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == sum(
+        workload.expected_calls[item.kind]["correlation.gell_mann_basis"] for item in items
+    )
