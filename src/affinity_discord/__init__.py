@@ -1,11 +1,11 @@
 """Affinity-based geometric quantum discord for bipartite states.
 
 ``discord(state, measure)`` picks the route: the closed forms for pure states
-and for a two-level measured party, brute-force optimization over projective
-measurements, and above the optimizer's cap a spectral lower bound from the
-square-root correlation matrix (the m-level form of the two-level closed
-form). Each route is public too, as are analytic formulas for the
-Bell-diagonal, Werner, and isotropic families.
+and for a two-level measured party, else optimization over projective
+measurements, which refuses a measured party above 8 levels. Each route is
+public too, as are the spectral lower bound from the square-root correlation
+matrix (the m-level form of the two-level closed form) and analytic formulas
+for the Bell-diagonal, Werner, and isotropic families.
 
 Some exports are called only by the tests and stay on purpose.
 ``post_measurement``, ``affinity_discord_at`` and ``hs_discord_at`` are the

@@ -17,13 +17,13 @@ import sys
 import numpy as np
 
 from .correlation import discord, lower_bound
-from .errors import UnsupportedDimensionError, ValidationError, _require_int
+from .errors import OutOfRangeError, UnsupportedDimensionError, ValidationError, _require_int
 from .families import SWEEP_MEASURES, sweep, sweep_to_csv
 from .measures import BUDGET_DEFAULT, MEASURES, _optimizer, _require_budget, _require_seed
 from .states import _as_pure, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
-_BOUND_MAX_DIM = 64  # larger systems get the bound only on discord's bound route
+_BOUND_MAX_DIM = 64  # larger systems get no bound: its Gell-Mann tables grow as d^4
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -38,8 +38,6 @@ def _complex_cells(matrix: np.ndarray) -> list:
 
 
 def _measurement_payload(result):
-    if result.optimal_measurement is None:
-        return None
     payload = {"vectors": _complex_cells(result.optimal_measurement.vectors)}
     if result.parameters is not None:
         payload["parameters"] = [float(x) for x in np.asarray(result.parameters).ravel()]
@@ -47,8 +45,8 @@ def _measurement_payload(result):
 
 
 def _measure_entry(state, measure, method, budget) -> dict:
-    """One measure's entry: ``auto`` is ``discord``'s route, ``optimize`` the optimizer. Off the
-    bound route the bound comes after the result, so a dimension it rejects exits 3 first."""
+    """One measure's entry: ``auto`` is ``discord``'s route, ``optimize`` the optimizer. The
+    bound comes after the result, so a dimension the result refuses exits 3 first."""
     if method == "auto":
         result = discord(state, measure, budget)
     else:
@@ -59,12 +57,10 @@ def _measure_entry(state, measure, method, budget) -> dict:
         "evaluations": int(result.evaluations),
         "optimal_measurement": _measurement_payload(result),
     }
-    raw_bound = result.bound
-    if raw_bound is None and measure != "hs" and state.dim <= _BOUND_MAX_DIM:
-        raw_bound = lower_bound(state)
-    if raw_bound is not None:
-        entry["bound"] = float(raw_bound)
-        entry["bound_clamped"] = max(0.0, float(raw_bound))
+    if measure != "hs" and state.dim <= _BOUND_MAX_DIM:
+        bound = lower_bound(state)
+        entry["bound"] = bound
+        entry["bound_clamped"] = max(0.0, bound)
     return entry
 
 
@@ -96,6 +92,9 @@ def cmd_compute(args) -> int:
 
 def cmd_sweep(args) -> int:
     _require_int(args.steps, "--steps", 1)
+    for flag, value in (("--from", args.start), ("--to", args.stop)):
+        if not np.isfinite(value):
+            raise OutOfRangeError(f"{flag} must be finite, got {value}")
     if args.start > args.stop:
         raise ValidationError(f"--from {args.start} exceeds --to {args.stop}")
     params = np.linspace(args.start, args.stop, args.steps)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import ValidationError, WrongDimensionError, _require_int
 from .measures import (
-    MAX_OPT_DIM,
     DiscordResult,
     MeasurementBasis,
     _optimizer,
@@ -181,10 +180,9 @@ def discord(
 ) -> DiscordResult:
     """The discord of ``state`` by one of ``MEASURES`` (else ``UnknownFamilyError``).
 
-    Affinity and remedied take the pure closed form for a rank-1 state, the two-level
-    closed form for dim_a = 2, the optimizer up to ``MAX_OPT_DIM``, and above it the
-    spectral bound alone. HS always optimizes, so above the cap it raises
-    ``UnsupportedDimensionError``. ``budget`` is the optimizer's.
+    Affinity and remedied take the pure closed form for a rank-1 state and the two-level
+    closed form for dim_a = 2. Other states, and HS always, go to the optimizer, which
+    raises ``UnsupportedDimensionError`` above ``MAX_OPT_DIM``. Every route checks ``budget``.
     """
     optimizer = _optimizer(measure)
     budget = _require_budget(budget)
@@ -194,7 +192,4 @@ def discord(
             return pure_discord(psi)
         if state.dim_a == 2:
             return closed_form_2xn(state)
-        if state.dim_a > MAX_OPT_DIM:
-            bound = lower_bound(state)
-            return DiscordResult(max(bound, 0.0), "bound", bound=bound)
     return optimizer(state, budget=budget)

@@ -14,7 +14,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg, states
-from .errors import InvalidBlochVectorError, OutOfRangeError, UnknownFamilyError, _require_int
+from .errors import InvalidBlochVectorError, OutOfRangeError, UnknownFamilyError, ValidationError
+from .errors import _require_int
 from .measures import _optimizer, _require_optimizable, _require_seed
 from .states import bell_diagonal, isotropic, werner_general, werner_two_qubit
 
@@ -142,7 +143,8 @@ def sweep(
 
     ``dim`` is m for werner and isotropic (an integer from 2 to the optimizer's cap,
     checked before any state is built), and must be left out for werner2 and belldiag.
-    So is every parameter (``_family_point``). Rows are ordered by grid index then measure, and
+    So is every parameter (``_family_point``); ``params`` that is not iterable, such as a
+    scalar, raises ``ValidationError``. Rows are ordered by grid index then measure, and
     the output is deterministic. ``seed`` is checked and then unused, because no optimizer
     reads a seed; it stays only because the benchmark's workloads pass it, and goes when
     they stop.
@@ -157,6 +159,10 @@ def sweep(
     _require_seed(seed)
     if dim is not None:
         _require_optimizable(_require_int(dim, "dim", 2))
+    try:
+        params = iter(params)
+    except TypeError:
+        raise ValidationError(f"params must be an iterable of points, got {params!r}") from None
     points = [(param, *_family_point(family, param, dim)) for param in params]
     rows: list[SweepRow] = []
     for param, build, oracle in points:

@@ -14,6 +14,7 @@ from .errors import (
     NonHermitianError,
     NonSquareError,
     NotPSDError,
+    ValidationError,
     _require_int,
 )
 from .tolerances import HERMITICITY, PSD_EPSILON
@@ -89,7 +90,7 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str = "a") -> np.ndarray:
         return np.einsum("abcb->ac", t)
     if keep == "b":
         return np.einsum("abad->bd", t)
-    raise ValueError("keep must be 'a' or 'b'")
+    raise ValidationError(f"keep must be 'a' or 'b', got {keep!r}")
 
 
 def frobenius_norm_sq(m) -> float:

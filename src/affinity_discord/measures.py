@@ -96,21 +96,19 @@ class MeasurementBasis:
 
 @dataclass(frozen=True)
 class DiscordResult:
-    """Discord value with the method that produced it.
+    """Discord value with the method that produced it and a basis on A that reaches it.
 
-    ``method`` is one of closed-pure, closed-2xn, bound, optimized-local.
-    closed-2xn carries the Bloch direction in ``parameters``; optimized-local
-    comes from the Jacobi sweeps, for one- and two-level A too, with
-    ``evaluations`` counting the pair steps of all starts. ``bound`` is set on the
-    bound route alone: the unclamped spectral bound, with ``value = max(bound, 0)``.
+    ``method`` is one of closed-pure, closed-2xn, optimized-local. closed-2xn carries
+    the Bloch direction in ``parameters``; optimized-local comes from the Jacobi
+    sweeps, for one- and two-level A too, with ``evaluations`` counting the pair steps
+    of all starts.
     """
 
     value: float
     method: str
-    optimal_measurement: MeasurementBasis | None = None
+    optimal_measurement: MeasurementBasis
     parameters: np.ndarray | None = None
     evaluations: int = 0
-    bound: float | None = None
 
 
 # --- overlap kernel ----------------------------------------------------------

@@ -139,18 +139,21 @@ def test_compute_reports_the_bound_up_to_dimension_64(tmp_path, capsys, dim_b, h
     assert ("bound" in entry) == ("bound_clamped" in entry) == has_bound
 
 
-@pytest.mark.parametrize("measure", ["affinity", "remedied"])
-def test_compute_reports_the_bound_alone_above_the_optimizer_cap(tmp_path, capsys, measure):
-    # above dim_a = 8 the default route reports the spectral bound, clamped, as the value
+@pytest.mark.parametrize("measure", ["affinity", "remedied", "hs", "all"])
+@pytest.mark.parametrize("method", ["auto", "optimize"])
+def test_compute_exits_3_above_the_optimizer_cap(tmp_path, capsys, method, measure):
+    # above dim_a = 8 a mixed state has no route for any measure: one JSON line, no report
     path = tmp_path / "state.json"
     save_state(random_state(9, 2, seed=0), path)
-    code, out, err = run_cli(capsys, "compute", "--state", str(path), "--measure", measure)
-    assert code == 0, err
-    entry = json.loads(out)["measures"][measure]
-    assert entry["method"] == "bound"
-    assert entry["value"] == entry["bound_clamped"] == max(0.0, entry["bound"])
-    assert entry["evaluations"] == 0
-    assert entry["optimal_measurement"] is None
+    argv = ["compute", "--state", str(path), "--measure", measure, "--method", method]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    [line] = err.splitlines()
+    assert json.loads(line) == {
+        "error": "UnsupportedDimensionError",
+        "message": "optimization supports dim_a <= 8, got 9",
+    }
 
 
 def test_compute_invalid_state_exits_2(tmp_path, capsys):
@@ -260,8 +263,8 @@ def test_negative_seed_exits_2(tmp_path, capsys, command):
     [pytest.param(2, 1, id="2"), pytest.param(3, 1, id="3"), pytest.param(1, 3, id="1x3")],
 )
 def test_compute_one_dimensional_b_is_zero(tmp_path, capsys, dim_a, dim_b, method):
-    # with a one-dimensional party nothing is correlated: every measure is 0; a one-level
-    # A takes the optimizer, never the bound-alone route above the cap
+    # with a one-dimensional party nothing is correlated: every measure is 0, and a
+    # one-level A takes the optimizer with 0 pair steps
     path = tmp_path / "state.json"
     save_state(random_state(dim_a, dim_b, seed=dim_a), path)
     code, out, err = run_cli(
@@ -274,10 +277,10 @@ def test_compute_one_dimensional_b_is_zero(tmp_path, capsys, dim_a, dim_b, metho
 
 
 def test_compute_unsupported_dimension_exits_3(tmp_path, capsys):
-    # --method optimize and the Hilbert-Schmidt measure always optimize: no bound-alone route
+    # a one-level B changes nothing: a mixed state above the cap has no route
     path = tmp_path / "big.json"
     save_state(validate(np.eye(9) / 9.0, 9, 1), path)
-    for flag in (["--method", "optimize"], ["--measure", "hs"]):
+    for flag in ([], ["--method", "optimize"], ["--measure", "hs"]):
         code, out, err = run_cli(capsys, "compute", "--state", str(path), *flag)
         assert code == 3
         assert out == ""
@@ -309,6 +312,24 @@ def test_sweep_bad_grid_exits_2(capsys):
     assert code == 2
     assert json.loads(err) == {
         "error": "OutOfRangeError", "message": "--steps must be at least 1, got 0"
+    }
+
+
+@pytest.mark.parametrize("flag, value", [("--to", "inf"), ("--from", "-inf"), ("--from", "nan")])
+def test_sweep_non_finite_grid_end_exits_2_with_one_json_line(flag, value):
+    # a separate process, so a numpy warning would reach stderr: the flag is refused
+    # before linspace, which warned and then blamed p=nan
+    grid = {"--from": "0", "--to": "1", flag: value}
+    argv = ["sweep", "--family", "werner2", "--steps", "1", *(f"{k}={v}" for k, v in grid.items())]
+    proc = subprocess.run(
+        [sys.executable, "-m", "affinity_discord", *argv],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "OutOfRangeError", "message": f"{flag} must be finite, got {float(value)}"
     }
 
 
@@ -456,7 +477,7 @@ def test_compute_budget_below_one_exits_2(tmp_path, capsys):
     ids=["compute-closed"],
 )
 def test_budget_below_one_exits_2_before_any_state_is_read(capsys, monkeypatch, argv):
-    # the closed-form and bound-alone routes never run the optimizer, which also refuses it
+    # the closed-form routes never run the optimizer, which also refuses it
     def refuse(*args, **kwargs):
         raise AssertionError("work started before --budget was checked")
 

@@ -9,6 +9,7 @@ from affinity_discord.errors import (
     InvalidBlochVectorError,
     OutOfRangeError,
     UnknownFamilyError,
+    ValidationError,
 )
 from affinity_discord.families import (
     bell_diagonal_discord,
@@ -316,6 +317,14 @@ def test_sweep_refuses_a_malformed_parameter_before_any_state(
     good = (0.1, 0.2, 0.3) if family == "belldiag" else 0.5
     with pytest.raises(error):
         sweep(family, [good, param], dim=dim)
+
+
+@pytest.mark.parametrize(
+    "params", [0.5, np.float64(0.5), np.array(0.5), None], ids=["float", "np-float", "0-d", "None"]
+)
+def test_sweep_refuses_a_grid_that_is_not_iterable(params):
+    with pytest.raises(ValidationError, match="iterable of points"):
+        sweep("werner2", params)
 
 
 @pytest.mark.parametrize(

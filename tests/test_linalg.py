@@ -11,6 +11,7 @@ from affinity_discord.errors import (
     NonHermitianError,
     NonSquareError,
     NotPSDError,
+    ValidationError,
 )
 from affinity_discord.tolerances import PSD_EPSILON
 
@@ -141,6 +142,12 @@ def test_partial_trace_preserves_trace():
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         linalg.partial_trace(np.eye(5), 2, 3)
+
+
+@pytest.mark.parametrize("keep", ["c", "A", ""])
+def test_partial_trace_refuses_an_unknown_party(keep):
+    with pytest.raises(ValidationError, match="keep must be 'a' or 'b'"):
+        linalg.partial_trace(np.eye(4), 2, 2, keep=keep)
 
 
 def test_frobenius_norm_sq_values():

@@ -8,15 +8,17 @@ back into the CLI.
 """
 
 import ast
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from affinity_discord import cli
-from affinity_discord.correlation import discord, lower_bound
+from affinity_discord.correlation import discord
 from affinity_discord.errors import OutOfRangeError, UnknownFamilyError, UnsupportedDimensionError
-from affinity_discord.measures import MEASURES
+from affinity_discord.measures import MEASURES, DiscordResult
 from affinity_discord.states import random_pure_state, random_state, save_state
 
 CLI = Path(__file__).resolve().parents[1] / "src" / "affinity_discord" / "cli.py"
@@ -32,57 +34,71 @@ ROUTE_PIECES = {
 
 STATES = {
     "pure3x2": lambda: random_pure_state(3, 2, seed=3).to_density(),
+    "pure9x2": lambda: random_pure_state(9, 2, seed=3).to_density(),
     "2x3": lambda: random_state(2, 3, seed=1),
     "3x3": lambda: random_state(3, 3, seed=0),
     "9x2": lambda: random_state(9, 2, seed=0),
 }
-# (state, measure) -> method; the HS measure always optimizes
+# (state, measure) -> method; the HS measure always optimizes, and None marks a state
+# above the optimizer's cap that no route takes: every measure raises and compute exits 3
 ROUTES = {
     ("pure3x2", "affinity"): "closed-pure",
     ("pure3x2", "remedied"): "closed-pure",
     ("pure3x2", "hs"): "optimized-local",
+    ("pure9x2", "affinity"): "closed-pure",
+    ("pure9x2", "remedied"): "closed-pure",
+    ("pure9x2", "hs"): None,
     ("2x3", "affinity"): "closed-2xn",
     ("2x3", "remedied"): "closed-2xn",
     ("2x3", "hs"): "optimized-local",
     ("3x3", "affinity"): "optimized-local",
     ("3x3", "remedied"): "optimized-local",
     ("3x3", "hs"): "optimized-local",
-    ("9x2", "affinity"): "bound",
-    ("9x2", "remedied"): "bound",
+    ("9x2", "affinity"): None,
+    ("9x2", "remedied"): None,
+    ("9x2", "hs"): None,
 }
 
 
-def _compute_entry(tmp_path, state, measure) -> dict:
-    path, out = tmp_path / "state.json", tmp_path / "out.json"
+def _compute(tmp_path, capsys, state, measure) -> tuple[int, str, str]:
+    path = tmp_path / "state.json"
     save_state(state, path)
-    argv = ["compute", "--state", str(path), "--measure", measure, "--out", str(out)]
-    assert cli.main(argv) == cli.EXIT_OK
-    return json.loads(out.read_text(encoding="utf-8"))["measures"][measure]
+    code = cli.main(["compute", "--state", str(path), "--measure", measure])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("name, measure", sorted(ROUTES), ids="-".join)
-def test_route_table(tmp_path, name, measure):
+def test_route_table(tmp_path, capsys, name, measure):
     state = STATES[name]()
+    if ROUTES[name, measure] is None:
+        with pytest.raises(UnsupportedDimensionError):
+            discord(state, measure)
+        code, out, err = _compute(tmp_path, capsys, state, measure)
+        assert (code, out) == (cli.EXIT_UNSUPPORTED, "")
+        assert json.loads(err)["error"] == "UnsupportedDimensionError"
+        return
     result = discord(state, measure)
     assert result.method == ROUTES[name, measure]
-    entry = _compute_entry(tmp_path, state, measure)
+    code, out, err = _compute(tmp_path, capsys, state, measure)
+    assert code == cli.EXIT_OK, err
+    entry = json.loads(out)["measures"][measure]
     assert entry["value"] == float(result.value)
     assert entry["method"] == result.method
     assert entry["evaluations"] == result.evaluations
-    if result.method == "bound":
-        assert result.bound == lower_bound(state)
-        assert result.value == max(0.0, result.bound)
-        assert result.evaluations == 0
-        assert result.optimal_measurement is None
-        assert entry["bound"] == result.bound
-    else:
-        assert result.bound is None
-        assert result.optimal_measurement is not None
+    assert np.array_equal(_vectors(entry), result.optimal_measurement.vectors)
 
 
-def test_hs_above_the_cap_is_unsupported():
-    with pytest.raises(UnsupportedDimensionError):
-        discord(STATES["9x2"](), "hs")
+def _vectors(entry) -> np.ndarray:
+    cells = entry["optimal_measurement"]["vectors"]
+    return np.array([[z["re"] + 1j * z["im"] for z in row] for row in cells])
+
+
+def test_every_result_carries_a_basis():
+    # no route reports a value without the measurement that reaches it
+    fields = {f.name: f for f in dataclasses.fields(DiscordResult)}
+    assert list(fields) == ["value", "method", "optimal_measurement", "parameters", "evaluations"]
+    assert fields["optimal_measurement"].default is dataclasses.MISSING
 
 
 @pytest.mark.parametrize("measure", ["ghz", "all", "HS", ""])
@@ -96,8 +112,9 @@ def test_route_table_covers_every_measure():
 
 
 def test_budget_is_checked_on_every_route():
-    # a closed route never spends the budget, but it refuses a bad one like the optimizer
-    for name in ("pure3x2", "2x3", "9x2"):
+    # a closed route never spends the budget, and the budget is checked before a state
+    # above the cap is refused, so every route refuses a bad one like the optimizer
+    for name in ("pure3x2", "pure9x2", "2x3", "9x2"):
         with pytest.raises(OutOfRangeError):
             discord(STATES[name](), budget=0)
     assert discord(STATES["3x3"](), budget=1).evaluations == 1

@@ -104,6 +104,12 @@ def test_state_matrix_read_only():
         state.rho[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("keep", ["x", "B", ""])
+def test_marginal_refuses_an_unknown_party(keep):
+    with pytest.raises(ValidationError, match="keep must be 'a' or 'b'"):
+        random_state(2, 3, seed=1).marginal(keep)
+
+
 # --- Bell machinery ----------------------------------------------------------
 
 
