@@ -19,7 +19,14 @@ import numpy as np
 from .correlation import discord, lower_bound
 from .errors import OutOfRangeError, UnsupportedDimensionError, ValidationError, _require_int
 from .families import SWEEP_MEASURES, sweep, sweep_to_csv
-from .measures import BUDGET_DEFAULT, MEASURES, _optimizer, _require_budget, _require_seed
+from .measures import (
+    BUDGET_DEFAULT,
+    MEASURES,
+    _SQRT_MEASURES,
+    _optimizer,
+    _require_budget,
+    _require_seed,
+)
 from .states import _as_pure, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
 
@@ -57,7 +64,7 @@ def _measure_entry(state, measure, method, budget) -> dict:
         "evaluations": int(result.evaluations),
         "optimal_measurement": _measurement_payload(result),
     }
-    if measure != "hs" and state.dim <= _BOUND_MAX_DIM:
+    if measure in _SQRT_MEASURES and state.dim <= _BOUND_MAX_DIM:
         bound = lower_bound(state)
         entry["bound"] = bound
         entry["bound_clamped"] = max(0.0, bound)

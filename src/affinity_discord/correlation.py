@@ -26,6 +26,7 @@ from .errors import ValidationError, WrongDimensionError, _require_int
 from .measures import (
     DiscordResult,
     MeasurementBasis,
+    _SQRT_MEASURES,
     _optimizer,
     _qubit_kets,
     _require_budget,
@@ -180,13 +181,14 @@ def discord(
 ) -> DiscordResult:
     """The discord of ``state`` by one of ``MEASURES`` (else ``UnknownFamilyError``).
 
-    Affinity and remedied take the pure closed form for a rank-1 state and the two-level
-    closed form for dim_a = 2. Other states, and HS always, go to the optimizer, which
-    raises ``UnsupportedDimensionError`` above ``MAX_OPT_DIM``. Every route checks ``budget``.
+    The measures of S = sqrt(rho), affinity and remedied, take the pure closed form for a
+    rank-1 state and the two-level closed form for dim_a = 2. Other states, and HS always,
+    go to the optimizer, which raises ``UnsupportedDimensionError`` above ``MAX_OPT_DIM``.
+    Every route checks ``budget``.
     """
     optimizer = _optimizer(measure)
     budget = _require_budget(budget)
-    if measure != "hs":
+    if measure in _SQRT_MEASURES:
         psi = _as_pure(state)
         if psi is not None:
             return pure_discord(psi)

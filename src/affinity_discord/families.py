@@ -104,24 +104,30 @@ class SweepRow:
     gap: float
 
 
+def _is_real(x) -> bool:
+    """A real number, not a bool: ``bool`` is a ``numbers.Real``, but no point of a family."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _family_point(family: str, param, dim: int | None):
     """A builder of the family's state at ``param``, and an oracle of its (affinity, HS) discords.
 
     ``param`` is checked here, before either runs: three real numbers for belldiag (else
-    ``InvalidBlochVectorError``), one for the other families (else ``OutOfRangeError``).
+    ``InvalidBlochVectorError``), one for the other families (else ``OutOfRangeError``);
+    a bool is not a real number here.
     ``sweep`` has checked the family and the dimension. Both look their functions up by
     module name when called, so a rebinding of these names (perfbench's tracer) takes effect.
     """
     if family == "belldiag":
         c = tuple(param) if isinstance(param, (tuple, list)) or np.ndim(param) == 1 else ()
-        if len(c) != 3 or not all(isinstance(x, numbers.Real) for x in c):
+        if len(c) != 3 or not all(_is_real(x) for x in c):
             raise InvalidBlochVectorError(f"belldiag takes three real numbers, got {param!r}")
         c = tuple(float(x) for x in c)
         return lambda: bell_diagonal(*c), lambda: (
             bell_diagonal_discord(*c),
             bell_diagonal_hs_discord(*c),
         )
-    if not isinstance(param, numbers.Real):
+    if not _is_real(param):
         raise OutOfRangeError(f"{family} takes one real number, got {param!r}")
     x = float(param)
     if family == "werner2":
@@ -144,13 +150,16 @@ def sweep(
     ``dim`` is m for werner and isotropic (an integer from 2 to the optimizer's cap,
     checked before any state is built), and must be left out for werner2 and belldiag.
     So is every parameter (``_family_point``); ``params`` that is not iterable, such as a
-    scalar, raises ``ValidationError``. Rows are ordered by grid index then measure, and
-    the output is deterministic. ``seed`` is checked and then unused, because no optimizer
-    reads a seed; it stays only because the benchmark's workloads pass it, and goes when
-    they stop.
+    scalar, raises ``ValidationError``. ``measures`` names columns of ``SWEEP_MEASURES``;
+    a bare string such as ``"hs"`` raises ``ValidationError``. Rows are ordered by grid
+    index then measure, and the output is deterministic. ``seed`` is checked and then
+    unused, because no optimizer reads a seed; it stays only because the benchmark's
+    workloads pass it, and goes when they stop.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if isinstance(measures, str):
+        raise ValidationError(f"measures must be a sequence of names, got the string {measures!r}")
     for measure in measures:
         if measure not in SWEEP_MEASURES:
             raise UnknownFamilyError(f"unknown measure {measure!r}; choose from {SWEEP_MEASURES}")

@@ -7,9 +7,10 @@ maximum taken over rank-1 projective bases {P_k} on party A, with
 
 The sum is the pinched overlap sum_k Tr[S (P_k x 1) S (P_k x 1)]. The
 affinity and remedied measures take S = sqrt(rho) and offset 1; the
-Hilbert-Schmidt measure takes S = rho and offset Tr(rho^2). K is
-dim_a^2 x dim_a^2 and is built once per state, so dim_b enters only there:
-every evaluation after it costs the same for any dim_b.
+Hilbert-Schmidt measure takes S = rho and offset Tr(rho^2). ``_kernel`` is the
+one place that makes this choice. K is dim_a^2 x dim_a^2 and is built once per
+state, so dim_b enters only there: every evaluation after it costs the same for
+any dim_b.
 
 For orthonormal kets (v_0, v_1) on A and O_s = sum_pq (sigma_s)_pq |v_p><v_q|
 (sigma_0 = 1), the projectors (O_0 +/- n.O)/2 have the overlap (c0 + n^T G n)/2
@@ -46,6 +47,7 @@ from .states import BipartiteState, PureState, _require_density
 from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 
 MEASURES = ("affinity", "hs", "remedied")
+_SQRT_MEASURES = ("affinity", "remedied")  # S = sqrt(rho), offset 1; "hs" takes S = rho
 MAX_OPT_DIM = 8
 GRID_THETA = 181
 GRID_PHI = 360
@@ -119,6 +121,15 @@ def _overlap_kernel(s: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
     r = s.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
     r = r.reshape(dim_a * dim_a, dim_b * dim_b)
     return r @ r.conj().T
+
+
+def _kernel(state: BipartiteState, measure: str) -> tuple[np.ndarray, float]:
+    """K of ``measure``'s S, and its offset: the one place a measure chooses them."""
+    if measure in _SQRT_MEASURES:
+        s, offset = state.sqrt(), 1.0
+    else:
+        s, offset = np.asarray(state.rho), state.purity()
+    return _overlap_kernel(s, state.dim_a, state.dim_b), offset
 
 
 def _overlap(k: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -211,11 +222,9 @@ def post_measurement(state: BipartiteState, basis: MeasurementBasis) -> Bipartit
     return BipartiteState(state.dim_a, state.dim_b, pinched)
 
 
-def _functional_at(
-    state: BipartiteState, basis: MeasurementBasis, s: np.ndarray, offset: float
-) -> float:
+def _functional_at(state: BipartiteState, basis: MeasurementBasis, measure: str) -> float:
     _require_basis(state, basis)
-    k = _overlap_kernel(s, state.dim_a, state.dim_b)
+    k, offset = _kernel(state, measure)
     return offset - float(_overlap(k, np.asarray(basis.vectors)))
 
 
@@ -226,12 +235,12 @@ def affinity_discord_at(state: BipartiteState, basis: MeasurementBasis) -> float
     1 - sum_k Tr[sqrt(rho) (Pi_k x 1) sqrt(rho) (Pi_k x 1)], which equals the
     squared Hilbert-Schmidt distance between sqrt(rho) and its pinching.
     """
-    return _functional_at(state, basis, state.sqrt(), 1.0)
+    return _functional_at(state, basis, "affinity")
 
 
 def hs_discord_at(state: BipartiteState, basis: MeasurementBasis) -> float:
     """Hilbert-Schmidt discord functional ||rho - pinched(rho)||^2 at a fixed basis."""
-    return _functional_at(state, basis, np.asarray(state.rho), state.purity())
+    return _functional_at(state, basis, "hs")
 
 
 def pure_discord(psi: PureState) -> DiscordResult:
@@ -351,13 +360,14 @@ def _require_optimizable(dim_a: int) -> None:
         )
 
 
-def _optimize(
-    state: BipartiteState, s: np.ndarray, offset: float, budget: int | None
-) -> DiscordResult:
-    """Minimize ``offset - overlap`` over projective bases on A; the starts read only K."""
+def _optimize(state: BipartiteState, measure: str, budget: int | None) -> DiscordResult:
+    """Minimize ``offset - overlap`` over projective bases on A; the starts read only K.
+
+    The budget and the cap are checked before ``_kernel``, so a refusal takes no square root.
+    """
     budget = _require_budget(budget)
     _require_optimizable(state.dim_a)
-    k = _overlap_kernel(s, state.dim_a, state.dim_b)
+    k, offset = _kernel(state, measure)
     # a two-level A has one pair, so one step from any basis is exact
     starts = np.eye(state.dim_a)[None] if state.dim_a <= 2 else _spectral_starts(k, state.dim_a)
     best, basis, evals = _maximize(k, starts, budget)
@@ -374,12 +384,12 @@ def optimize_affinity_discord(state: BipartiteState, budget: int | None = None) 
     (at least 1, default BUDGET_DEFAULT) caps the pair steps of all starts, which
     ``evaluations`` counts.
     """
-    return _optimize(state, state.sqrt(), 1.0, budget)
+    return _optimize(state, "affinity", budget)
 
 
 def optimize_hs_discord(state: BipartiteState, budget: int | None = None) -> DiscordResult:
     """Minimize ||rho - pinched(rho)||^2 over projective bases on A."""
-    return _optimize(state, np.asarray(state.rho), state.purity(), budget)
+    return _optimize(state, "hs", budget)
 
 
 def remedied_hs_discord(state: BipartiteState, budget: int | None = None) -> DiscordResult:
@@ -389,7 +399,7 @@ def remedied_hs_discord(state: BipartiteState, budget: int | None = None) -> Dis
     surface because it is the ancilla-safe repair of the Hilbert-Schmidt
     measure. Tr(sqrt(rho)^2) = 1 for a unit-trace state, so the offset is 1.
     """
-    return _optimize(state, state.sqrt(), 1.0, budget)
+    return _optimize(state, "remedied", budget)
 
 
 def _optimizer(measure: str):

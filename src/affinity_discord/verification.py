@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .correlation import closed_form_2xn, correlation_matrix, discord, lower_bound
-from .errors import ValidationError
+from .errors import ValidationError, _require_int
 from .families import (
     bell_diagonal_discord,
     isotropic_discords,
@@ -27,8 +27,8 @@ from .families import (
     werner_two_qubit_discords,
 )
 from .measures import (
+    _kernel,
     _maximize_grid,
-    _overlap_kernel,
     affinity,
     affinity_discord_at,
     optimize_affinity_discord,
@@ -165,7 +165,8 @@ def check_closed_vs_optimizer(seed) -> CheckResult:
     for i in range(50):
         state = random_state(2, 2, rank=(i % 4) + 1, seed=_child(seed))
         closed = closed_form_2xn(state).value
-        opt = 1.0 - _maximize_grid(_overlap_kernel(state.sqrt(), 2, state.dim_b))
+        k, offset = _kernel(state, "affinity")
+        opt = offset - _maximize_grid(k)
         gap = max(gap, abs(closed - opt))
     return _result("closed_vs_optimizer", {"closed_vs_optimizer": gap}, {"states": 50})
 
@@ -352,8 +353,12 @@ def run_checks(seed: int = 0, names: list[str] | None = None) -> list[CheckResul
 
     Seeds are assigned over the full registry so that selecting a subset of
     checks does not change any check's random stream. Every gap is compared
-    with its fixed tolerance in ``DEFAULT_CHECK_TOLERANCES``.
+    with its fixed tolerance in ``DEFAULT_CHECK_TOLERANCES``. ``seed`` is a
+    non-negative integer; ``names`` is a list of check names, not one string.
     """
+    seed = _require_int(seed, "seed", 0)
+    if isinstance(names, str):
+        raise ValidationError(f"names must be a list of check names, got the string {names!r}")
     selected = set(names) if names is not None else set(CHECK_NAMES)
     unknown = sorted(selected - set(CHECK_NAMES))
     if unknown:

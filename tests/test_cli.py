@@ -15,6 +15,7 @@ import pytest
 from affinity_discord import cli, families
 from affinity_discord.cli import build_parser, main
 from affinity_discord.correlation import closed_form_2xn
+from affinity_discord.errors import OutOfRangeError, ValidationError
 from affinity_discord.families import sweep, werner_general_discords
 from affinity_discord.states import (
     bell_state,
@@ -29,7 +30,7 @@ from affinity_discord.states import (
     werner_general,
     werner_two_qubit,
 )
-from affinity_discord.verification import DEFAULT_CHECK_TOLERANCES
+from affinity_discord.verification import DEFAULT_CHECK_TOLERANCES, run_checks
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -563,6 +564,25 @@ def test_verify_empty_check_name_exits_2(capsys, checks):
     assert code == 2
     assert out == ""
     assert json.loads(err) == {"error": "ValidationError", "message": "unknown checks: ''"}
+
+
+@pytest.mark.parametrize(
+    "seed, error",
+    [(-1, OutOfRangeError), (1.5, ValidationError), (True, ValidationError), ("7", ValidationError)],
+)
+def test_run_checks_refuses_a_seed_that_verify_refuses(seed, error):
+    with pytest.raises(error, match="seed"):
+        run_checks(seed, names=["family_zeros_asymptotics"])
+
+
+def test_run_checks_takes_a_numpy_integer_seed():
+    (res,) = run_checks(np.int64(3), names=["family_zeros_asymptotics"])
+    assert res.passed
+
+
+def test_run_checks_refuses_a_bare_names_string_by_its_whole_name():
+    with pytest.raises(ValidationError, match="'fig1_werner_sweep'"):
+        run_checks(names="fig1_werner_sweep")
 
 
 @pytest.mark.parametrize("module", ["affinity_discord.cli", "affinity_discord"])

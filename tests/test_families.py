@@ -303,6 +303,9 @@ def test_sweep_unknown_family_and_missing_dim():
         ("werner2", "0.5", None, OutOfRangeError),
         ("werner", [0.5], 3, OutOfRangeError),
         ("isotropic", 0.5j, 3, OutOfRangeError),
+        ("werner2", True, None, OutOfRangeError),
+        ("isotropic", False, 3, OutOfRangeError),
+        ("belldiag", (True, 0, 0), None, InvalidBlochVectorError),
     ],
 )
 def test_sweep_refuses_a_malformed_parameter_before_any_state(
@@ -317,6 +320,13 @@ def test_sweep_refuses_a_malformed_parameter_before_any_state(
     good = (0.1, 0.2, 0.3) if family == "belldiag" else 0.5
     with pytest.raises(error):
         sweep(family, [good, param], dim=dim)
+
+
+def test_sweep_refuses_a_bare_measure_string_by_its_whole_name():
+    # a string is a sequence of letters: it must not be read as the measures "h" and "s"
+    with pytest.raises(ValidationError) as refused:
+        sweep("werner2", [0.5], measures="hs")
+    assert "'hs'" in str(refused.value) and "'h'" not in str(refused.value)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@
 The route table pins which method each state and measure takes, and that
 ``compute --method auto`` reports the library's result bit for bit. The AST scan
 keeps ``cli.py`` from naming any piece of the route, so the decision cannot drift
-back into the CLI.
+back into the CLI, and keeps the measure -> (S, offset) rule in ``measures``.
 """
 
 import ast
@@ -15,13 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinity_discord import cli
+from affinity_discord import cli, linalg, measures
 from affinity_discord.correlation import discord
 from affinity_discord.errors import OutOfRangeError, UnknownFamilyError, UnsupportedDimensionError
 from affinity_discord.measures import MEASURES, DiscordResult
 from affinity_discord.states import random_pure_state, random_state, save_state
 
-CLI = Path(__file__).resolve().parents[1] / "src" / "affinity_discord" / "cli.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "affinity_discord"
+CLI = PACKAGE / "cli.py"
 ROUTE_PIECES = {
     "pure_discord",
     "closed_form_2xn",
@@ -120,6 +121,20 @@ def test_budget_is_checked_on_every_route():
     assert discord(STATES["3x3"](), budget=1).evaluations == 1
 
 
+def test_a_refused_request_takes_no_square_root(monkeypatch):
+    # the budget and the cap are checked before measures._kernel roots the state
+    above_cap, below_cap = STATES["9x2"](), STATES["3x3"]()
+    calls = []
+    sqrt = linalg.matrix_sqrt_psd
+    monkeypatch.setattr(linalg, "matrix_sqrt_psd", lambda *a: calls.append(1) or sqrt(*a))
+    for measure in MEASURES:
+        with pytest.raises(UnsupportedDimensionError):
+            discord(above_cap, measure)
+        with pytest.raises(OutOfRangeError):
+            measures._optimizer(measure)(below_cap, budget=0)
+    assert calls == []
+
+
 def _names(tree):
     """Every identifier the source names: variables, attributes and imported names."""
     for node in ast.walk(tree):
@@ -150,3 +165,11 @@ def test_route_piece_scan(source, flagged):
 def test_cli_names_no_piece_of_the_route():
     named = set(_names(ast.parse(CLI.read_text(encoding="utf-8"))))
     assert sorted(named & ROUTE_PIECES) == [], "cli.py must leave the route to correlation.discord"
+
+
+@pytest.mark.parametrize("module", ["cli.py", "correlation.py"])
+def test_no_measure_is_singled_out_outside_measures(module):
+    # which measures take S = sqrt(rho) is read from measures, never spelt as "hs" here
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    literals = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert "hs" not in literals, f"{module} must read the measure rule from measures"

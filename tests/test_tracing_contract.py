@@ -79,13 +79,12 @@ def test_sweep_items_match_expected_call_counts(tmp_path):
     assert tracing.check_call_counts(tracer.per_item(), kinds, workload.expected_calls) == []
 
 
-def test_compute_items_match_expected_call_counts(tmp_path):
-    # one item of each compute workload kind: the closed-pure and closed-2xn
-    # routes, with the bound, call what the workload's table says
+def _compute_call_misses(workload) -> list:
+    """Run one item of each kind in the compute workload's table, counted as a
+    --trace run counts it; return the counts that differ from the table."""
     tracing = _tracing_module()
-    workload = _load("workloads").ComputeQubit(seed=1, workdir=str(tmp_path))
     items = workload.build()
-    every_kind = list(workload.expected_calls)  # pure, mixed, belldiag, belldiag+ancilla
+    every_kind = list(workload.expected_calls)
     assert {it.kind for it in items} == set(every_kind)
     picked = [next(it for it in items if it.kind == kind) for kind in every_kind]
     tracer = tracing.Tracer()
@@ -97,7 +96,21 @@ def test_compute_items_match_expected_call_counts(tmp_path):
     finally:
         tracer.uninstall()
     kinds = {index: item.kind for index, item in enumerate(picked)}
-    assert tracing.check_call_counts(tracer.per_item(), kinds, workload.expected_calls) == []
+    return tracing.check_call_counts(tracer.per_item(), kinds, workload.expected_calls)
+
+
+def test_compute_items_match_expected_call_counts(tmp_path):
+    # pure, mixed, belldiag, belldiag+ancilla: the closed-pure and closed-2xn
+    # routes, with the bound, call what the workload's table says
+    workload = _load("workloads").ComputeQubit(seed=1, workdir=str(tmp_path))
+    assert _compute_call_misses(workload) == []
+
+
+def test_qudit_items_match_expected_call_counts(tmp_path):
+    # cq, isotropic+ancilla, random: --method optimize --measure all runs each
+    # optimizer once, and the bound twice, as the workload's table says
+    workload = _load("workloads").ComputeQudit(seed=1, workdir=str(tmp_path))
+    assert _compute_call_misses(workload) == []
 
 
 def test_a_second_compute_pass_builds_no_gell_mann_table(tmp_path):
