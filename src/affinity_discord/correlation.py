@@ -181,17 +181,17 @@ def discord(
 ) -> DiscordResult:
     """The discord of ``state`` by one of ``MEASURES`` (else ``UnknownFamilyError``).
 
-    The measures of S = sqrt(rho), affinity and remedied, take the pure closed form for a
-    rank-1 state and the two-level closed form for dim_a = 2. Other states, and HS always,
-    go to the optimizer, which raises ``UnsupportedDimensionError`` above ``MAX_OPT_DIM``.
-    Every route checks ``budget``.
+    A rank-1 state takes the pure closed form at any size: sqrt(rho) = rho and
+    Tr rho^2 = 1 give every measure the same K and offset. A mixed state takes the
+    two-level closed form for dim_a = 2 under the measures of S = sqrt(rho), affinity and
+    remedied; every other state goes to the optimizer, which raises
+    ``UnsupportedDimensionError`` above ``MAX_OPT_DIM``. Every route checks ``budget``.
     """
     optimizer = _optimizer(measure)
     budget = _require_budget(budget)
-    if measure in _SQRT_MEASURES:
-        psi = _as_pure(state)
-        if psi is not None:
-            return pure_discord(psi)
-        if state.dim_a == 2:
-            return closed_form_2xn(state)
+    psi = _as_pure(state)
+    if psi is not None:
+        return pure_discord(psi)
+    if measure in _SQRT_MEASURES and state.dim_a == 2:
+        return closed_form_2xn(state)
     return optimizer(state, budget=budget)

@@ -140,7 +140,7 @@ def _family_point(family: str, param, dim: int | None):
 def sweep(
     family: str,
     params: Iterable,
-    measures: Sequence[str] = SWEEP_MEASURES,
+    measures: Iterable[str] = SWEEP_MEASURES,
     dim: int | None = None,
     budget: int | None = None,
     seed=0,
@@ -150,16 +150,17 @@ def sweep(
     ``dim`` is m for werner and isotropic (an integer from 2 to the optimizer's cap,
     checked before any state is built), and must be left out for werner2 and belldiag.
     So is every parameter (``_family_point``); ``params`` that is not iterable, such as a
-    scalar, raises ``ValidationError``. ``measures`` names columns of ``SWEEP_MEASURES``;
-    a bare string such as ``"hs"`` raises ``ValidationError``. Rows are ordered by grid
-    index then measure, and the output is deterministic. ``seed`` is checked and then
-    unused, because no optimizer reads a seed; it stays only because the benchmark's
-    workloads pass it, and goes when they stop.
+    scalar, raises ``ValidationError``. ``measures`` is any iterable of names of
+    ``SWEEP_MEASURES`` columns, read once; a bare string such as ``"hs"`` raises
+    ``ValidationError``. Rows are ordered by grid index then measure, and the output is
+    deterministic. ``seed`` is checked and then unused, because no optimizer reads a
+    seed; it stays only because the benchmark's workloads pass it, and goes when they stop.
     """
     if family not in FAMILIES:
         raise UnknownFamilyError(f"unknown family {family!r}; choose from {FAMILIES}")
     if isinstance(measures, str):
         raise ValidationError(f"measures must be a sequence of names, got the string {measures!r}")
+    measures = tuple(measures)  # a one-shot iterable is read once, here
     for measure in measures:
         if measure not in SWEEP_MEASURES:
             raise UnknownFamilyError(f"unknown measure {measure!r}; choose from {SWEEP_MEASURES}")

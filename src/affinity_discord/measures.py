@@ -64,8 +64,8 @@ class MeasurementBasis:
     """Rank-1 projective measurement on one subsystem.
 
     ``vectors`` holds the kets as rows, each phased so that its first component above
-    1/(2 sqrt(dim)) in magnitude is real and positive; projectors are derived. Their
-    orthonormality is checked where a basis enters a computation (``_require_basis``).
+    1/(2 sqrt(dim)) in magnitude is real and positive. Their orthonormality is checked
+    where a basis enters a computation (``_require_basis``).
     """
 
     dim: int
@@ -89,11 +89,6 @@ class MeasurementBasis:
         vecs.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def projectors(self) -> np.ndarray:
-        """Stack of rank-1 projectors |v_k><v_k|, shape (dim, dim, dim)."""
-        return np.einsum("ka,kb->kab", self.vectors, self.vectors.conj())
 
 
 @dataclass(frozen=True)

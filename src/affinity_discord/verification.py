@@ -215,10 +215,10 @@ def check_ancilla_invariance(seed) -> CheckResult:
     gap_hs = 0.0
     for p in (0.3, 0.7, 1.0):
         state = werner_two_qubit(p)
+        aff_before = optimize_affinity_discord(state).value
+        hs_before = optimize_hs_discord(state).value
         for sigma in sigmas.values():
             enlarged = append_ancilla(state, sigma)
-            aff_before = optimize_affinity_discord(state).value
-            hs_before = optimize_hs_discord(state).value
             aff_after = optimize_affinity_discord(enlarged).value
             hs_after = optimize_hs_discord(enlarged).value
             gap_aff = max(gap_aff, abs(aff_after - aff_before))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affinity_discord import cli, families
+from affinity_discord import cli, families, verification
 from affinity_discord.cli import build_parser, main
 from affinity_discord.correlation import closed_form_2xn
 from affinity_discord.errors import OutOfRangeError, ValidationError
@@ -578,6 +578,19 @@ def test_run_checks_refuses_a_seed_that_verify_refuses(seed, error):
 def test_run_checks_takes_a_numpy_integer_seed():
     (res,) = run_checks(np.int64(3), names=["family_zeros_asymptotics"])
     assert res.passed
+
+
+def test_ancilla_invariance_optimizes_each_reference_once(monkeypatch):
+    # three Werner states, each optimized once as it is and once per ancilla, per measure
+    calls = []
+    for name in ("optimize_affinity_discord", "optimize_hs_discord"):
+        optimizer = getattr(verification, name)
+        monkeypatch.setattr(
+            verification, name, lambda s, optimizer=optimizer: calls.append(s.dim) or optimizer(s)
+        )
+    (res,) = run_checks(7, ["ancilla_invariance"])
+    assert res.passed
+    assert sorted(calls) == [4] * 6 + [8] * 18
 
 
 def test_run_checks_refuses_a_bare_names_string_by_its_whole_name():

@@ -329,6 +329,14 @@ def test_sweep_refuses_a_bare_measure_string_by_its_whole_name():
     assert "'hs'" in str(refused.value) and "'h'" not in str(refused.value)
 
 
+def test_sweep_takes_a_one_shot_iterable_of_measures():
+    # the names are checked and then read again at every point, so a generator is kept
+    names = ["affinity", "hs"]
+    rows = sweep("werner2", [0.2, 0.5], measures=(m for m in names))
+    assert rows == sweep("werner2", [0.2, 0.5], measures=names)
+    assert [row.measure for row in rows] == names * 2
+
+
 @pytest.mark.parametrize(
     "params", [0.5, np.float64(0.5), np.array(0.5), None], ids=["float", "np-float", "0-d", "None"]
 )

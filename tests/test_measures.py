@@ -57,10 +57,15 @@ from affinity_discord.verification import DEFAULT_CHECK_TOLERANCES
 # --- measurement bases ---------------------------------------------------------
 
 
+def _projectors(basis):
+    """Stack of rank-1 projectors |v_k><v_k| from the basis kets, shape (dim, dim, dim)."""
+    return np.einsum("ka,kb->kab", basis.vectors, basis.vectors.conj())
+
+
 def test_basis_completeness_and_orthogonality():
     u = linalg.haar_unitary(3, seed=70)
     basis = MeasurementBasis(3, u.T)
-    projs = basis.projectors
+    projs = _projectors(basis)
     assert np.max(np.abs(np.sum(projs, axis=0) - np.eye(3))) < 1e-10
     for k in range(3):
         for l in range(3):
@@ -135,8 +140,8 @@ def test_basis_from_bloch_vector_direction():
     r = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
     basis = MeasurementBasis(2, measures._qubit_kets(r))
     n_dot_sigma = sum(ri * si for ri, si in zip(r, linalg.PAULI))
-    assert np.max(np.abs(basis.projectors[0] - (np.eye(2) + n_dot_sigma) / 2.0)) < 1e-12
-    assert np.max(np.abs(basis.projectors[1] - (np.eye(2) - n_dot_sigma) / 2.0)) < 1e-12
+    assert np.max(np.abs(_projectors(basis)[0] - (np.eye(2) + n_dot_sigma) / 2.0)) < 1e-12
+    assert np.max(np.abs(_projectors(basis)[1] - (np.eye(2) - n_dot_sigma) / 2.0)) < 1e-12
 
 
 def _angle_route_projectors(n):
@@ -155,7 +160,7 @@ def test_bloch_vector_kets_match_angle_route(n):
     # eigh fixes each ket only up to a phase, so the two routes meet on the projectors
     u = np.asarray(n) / np.linalg.norm(n)
     basis = MeasurementBasis(2, measures._qubit_kets(u))
-    got = np.max(np.abs(basis.projectors - _angle_route_projectors(n)))
+    got = np.max(np.abs(_projectors(basis) - _angle_route_projectors(n)))
     assert got < 16 * np.finfo(float).eps
 
 
@@ -335,7 +340,7 @@ def test_discord_at_equals_sqrt_pinching_distance():
         basis = _bloch_basis(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
         s = state.sqrt()
         pinched = np.zeros_like(s)
-        for proj in basis.projectors:
+        for proj in _projectors(basis):
             big = np.kron(proj, np.eye(3))
             pinched += big @ s @ big
         direct = linalg.frobenius_norm_sq(s - pinched)
@@ -364,7 +369,7 @@ def test_functionals_equal_explicit_pinching_distances(dim_a, dim_b, data):
 
     def pinching_distance(x):
         pinched = np.zeros_like(x)
-        for proj in basis.projectors:
+        for proj in _projectors(basis):
             big = np.kron(proj, eye_b)
             pinched += big @ x @ big
         return float(np.sum(np.abs(x - pinched) ** 2))
@@ -383,7 +388,7 @@ def test_qubit_overlap_is_the_bloch_form(dim_b, data):
     dim_a = data.draw(st.integers(3, 5), label="dim_a")
     state = random_state(2, dim_b, rank=rank, seed=seed)
     basis = MeasurementBasis(2, linalg.haar_unitary(2, seed).T)
-    n = np.array([np.real(np.trace(basis.projectors[0] @ p)) for p in linalg.PAULI])
+    n = np.array([np.real(np.trace(_projectors(basis)[0] @ p)) for p in linalg.PAULI])
     cases = [
         (measures._overlap_kernel(s, 2, dim_b), np.eye(2))
         for s in (state.sqrt(), np.asarray(state.rho))

@@ -40,15 +40,16 @@ STATES = {
     "3x3": lambda: random_state(3, 3, seed=0),
     "9x2": lambda: random_state(9, 2, seed=0),
 }
-# (state, measure) -> method; the HS measure always optimizes, and None marks a state
-# above the optimizer's cap that no route takes: every measure raises and compute exits 3
+# (state, measure) -> method; a pure state takes its closed form under every measure, a
+# mixed one under HS always optimizes, and None marks a state above the optimizer's cap
+# that no route takes: every measure raises and compute exits 3
 ROUTES = {
     ("pure3x2", "affinity"): "closed-pure",
     ("pure3x2", "remedied"): "closed-pure",
-    ("pure3x2", "hs"): "optimized-local",
+    ("pure3x2", "hs"): "closed-pure",
     ("pure9x2", "affinity"): "closed-pure",
     ("pure9x2", "remedied"): "closed-pure",
-    ("pure9x2", "hs"): None,
+    ("pure9x2", "hs"): "closed-pure",
     ("2x3", "affinity"): "closed-2xn",
     ("2x3", "remedied"): "closed-2xn",
     ("2x3", "hs"): "optimized-local",
@@ -110,6 +111,18 @@ def test_unknown_measure_is_refused(measure):
 
 def test_route_table_covers_every_measure():
     assert {measure for _, measure in ROUTES} == set(MEASURES)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 16])
+def test_a_pure_state_takes_one_closed_form_under_every_measure(m, n):
+    # sqrt(rho) = rho and Tr rho^2 = 1 give every measure the same K and offset, at any size
+    state = random_pure_state(m, n, seed=m * n).to_density()
+    results = [discord(state, measure) for measure in MEASURES]
+    assert [r.method for r in results] == ["closed-pure"] * len(MEASURES)
+    assert len({r.value for r in results}) == 1
+    if m <= measures.MAX_OPT_DIM:
+        assert abs(results[0].value - measures.optimize_hs_discord(state).value) <= 1e-12
 
 
 def test_budget_is_checked_on_every_route():
