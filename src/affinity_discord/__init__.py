@@ -1,5 +1,11 @@
 """Affinity-based geometric quantum discord for bipartite states.
 
+The affinity discord computed here is
+``1 - max Tr(sqrt(rho) Pi(sqrt(rho))) = min ||sqrt(rho) - Pi(sqrt(rho))||^2``
+over the pinchings ``Pi`` by rank-1 projective measurements on A. The literal
+``1 - A(rho, Pi(rho))`` is never larger: ``Pi`` is unital and the square root is
+operator concave, so ``Pi(sqrt(rho)) <= sqrt(Pi(rho))`` (operator Jensen).
+
 ``discord(state, measure)`` picks the route: the closed forms for pure states
 and for a two-level measured party, else optimization over projective
 measurements, which refuses a measured party above 8 levels. Each route is
@@ -8,10 +14,11 @@ matrix (the m-level form of the two-level closed form) and analytic formulas
 for the Bell-diagonal, Werner, and isotropic families.
 
 Some exports are called only by the tests and stay on purpose.
-``post_measurement``, ``affinity_discord_at`` and ``hs_discord_at`` are the
-reference definitions that the functional tests compare the kernel route
-against; they are also where a caller's own basis enters, and they refuse
-one that is not orthonormal. ``affinity_metric`` is the paper's metric.
+``post_measurement``, ``affinity_discord_at`` and ``hs_discord_at`` evaluate a
+caller's own basis, and refuse one that is not orthonormal. The functionals go
+through the same kernel as the optimizers; their independent references are the
+explicit pinching sums ``sum_k (Pi_k x 1) X (Pi_k x 1)`` in
+``tests/test_measures.py``. ``affinity_metric`` is the paper's metric.
 ``gell_mann_basis`` and ``correlation_matrix`` build the spectral bound, and
 the benchmark traces them by name until the bound moves onto the overlap
 kernel.

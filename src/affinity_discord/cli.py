@@ -25,7 +25,6 @@ from .measures import (
     _SQRT_MEASURES,
     _optimizer,
     _require_budget,
-    _require_seed,
 )
 from .states import _as_pure, load_state, schmidt_spectrum
 from .verification import CHECK_NAMES, run_checks
@@ -204,7 +203,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _require_seed(vars(args).get("seed", 0))  # compute and verify
+        _require_int(vars(args).get("seed", 0), "seed", 0)  # compute and verify
         _require_budget(vars(args).get("budget"))  # compute only; None is the default
         if args.out:
             _check_out(args.out)

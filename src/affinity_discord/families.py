@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg, states
 from .errors import InvalidBlochVectorError, OutOfRangeError, UnknownFamilyError, ValidationError
 from .errors import _require_int
-from .measures import _optimizer, _require_optimizable, _require_seed
+from .measures import _optimizer, _require_optimizable
 from .states import bell_diagonal, isotropic, werner_general, werner_two_qubit
 
 FAMILIES = ("werner2", "belldiag", "werner", "isotropic")
@@ -166,7 +166,7 @@ def sweep(
             raise UnknownFamilyError(f"unknown measure {measure!r}; choose from {SWEEP_MEASURES}")
     if (dim is None) == (family in ("werner", "isotropic")):
         raise OutOfRangeError(f"family {family!r}: only werner and isotropic take dim, and need it")
-    _require_seed(seed)
+    _require_int(seed, "seed", 0)
     if dim is not None:
         _require_optimizable(_require_int(dim, "dim", 2))
     try:

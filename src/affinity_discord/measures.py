@@ -24,9 +24,9 @@ read from K alone, so the optimizer draws nothing at random and takes no seed: f
 dim_a >= 3 they are the dim_a bases read from the top eigenvectors of Q K Q
 (``_spectral_starts``). A two-level A has one pair, so one step from any basis is
 the global optimum there, and its single start is the computational basis.
-``_maximize_grid`` evaluates the form on a Bloch-angle lattice for a two-level A
-and refines it on tangent-plane lattices, without eigh; it is an
-independent oracle for ``verify``, not a route of the optimizer.
+``_two_level_oracle`` reads the top eigenvalue of a two-level A's G by repeated
+squaring, with matmul and norm alone; it is an independent oracle for ``verify``,
+not a route of the optimizer.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ from .tolerances import OPTIMIZER_REL_IMPROVEMENT, PROJECTOR_TOLERANCE
 MEASURES = ("affinity", "hs", "remedied")
 _SQRT_MEASURES = ("affinity", "remedied")  # S = sqrt(rho), offset 1; "hs" takes S = rho
 MAX_OPT_DIM = 8
-GRID_THETA = 181
-GRID_PHI = 360
-GRID_LEVELS = 64
-GRID_HALVINGS = 20
 BUDGET_DEFAULT = 1_280_000
 # T: rows vec(1), vec(sigma_x), vec(sigma_y), vec(sigma_z); then vec(X) -> vec(T^* X T^T)
 _PAULI_VEC = np.stack([np.eye(2), *linalg.PAULI]).reshape(4, 4)
@@ -227,8 +223,9 @@ def affinity_discord_at(state: BipartiteState, basis: MeasurementBasis) -> float
     """Affinity discord functional at a fixed measurement basis.
 
     Computed in the single-square-root form
-    1 - sum_k Tr[sqrt(rho) (Pi_k x 1) sqrt(rho) (Pi_k x 1)], which equals the
-    squared Hilbert-Schmidt distance between sqrt(rho) and its pinching.
+    1 - Tr(sqrt(rho) Pi(sqrt(rho))) = ||sqrt(rho) - Pi(sqrt(rho))||^2, with
+    Pi(X) = sum_k (Pi_k x 1) X (Pi_k x 1). The literal 1 - A(rho, Pi(rho)) is never
+    larger (operator Jensen: Pi(sqrt(rho)) <= sqrt(Pi(rho))).
     """
     return _functional_at(state, basis, "affinity")
 
@@ -249,45 +246,22 @@ def pure_discord(psi: PureState) -> DiscordResult:
 # --- optimization over projective measurements --------------------------------
 
 
-def _maximize_grid(k: np.ndarray) -> float:
-    """Best overlap (c0 + n^T G n) / 2 of a two-level A: a Bloch lattice, then tangent lattices.
+def _two_level_oracle(k: np.ndarray) -> float:
+    """Best overlap (c0 + lambda_max(G)) / 2 of a two-level A, with no eigensolver.
 
-    Each level tries the 5 x 5 points normalize(n + step (a u + b v)),
-    a, b in [-1, 1], with u, v spanning the tangent plane at the best n so far. It moves
-    to a point that beats the centre and keeps ``step`` (one lattice step at first), so
-    the search can travel along a flat direction of G; it halves ``step`` only when the
-    centre stays best. It stops once ``step`` has been halved GRID_HALVINGS times, or
-    after GRID_LEVELS levels, because round-off ties can keep the centre moving. No
-    eigh: the oracle stays independent.
+    P = G + (1 + ||G||_F) 1 shares G's eigenvectors and is positive definite, so its
+    powers, squared 64 times and rescaled after each squaring, converge onto G's top
+    eigenspace even when that is degenerate; lambda_max(G) is the Rayleigh quotient of
+    G at P's largest column. Only matmul and norm: the oracle stays independent of the
+    closed form, whose value is an eigenvalue.
     """
     (c0,), (g,) = _pair_forms(k, np.eye(2)[None])
-
-    def form(n):
-        return np.einsum("gi,gi->g", n @ g, n)
-
-    t = np.linspace(0.0, np.pi, GRID_THETA)[:, None]
-    p = np.linspace(0.0, 2.0 * np.pi, GRID_PHI, endpoint=False)
-    n = np.broadcast_arrays(np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t))
-    n = np.stack(n, -1).reshape(-1, 3)
-    best = n[np.argmax(form(n))]
-    ab = np.stack(np.meshgrid(*[np.linspace(-1.0, 1.0, 5)] * 2), -1).reshape(-1, 2)
-    centre = len(ab) // 2  # a = b = 0
-    step = np.pi / (GRID_THETA - 1)
-    halvings = 0
-    for _ in range(GRID_LEVELS):
-        if halvings == GRID_HALVINGS:
-            break
-        u = np.cross(best, np.eye(3)[np.argmin(np.abs(best))])
-        u /= np.linalg.norm(u)
-        n = best + (step * ab) @ np.stack([u, np.cross(best, u)])
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
-        values = form(n)
-        if values[centre] < values.max():
-            best = n[np.argmax(values)]
-        else:
-            step /= 2.0
-            halvings += 1
-    return float(c0 + best @ g @ best) / 2.0
+    p = g + (1.0 + np.linalg.norm(g)) * np.eye(3)
+    for _ in range(64):
+        p = p @ p
+        p /= np.linalg.norm(p)
+    x = p[:, np.argmax(np.linalg.norm(p, axis=0))]
+    return float(c0 + x @ g @ x / (x @ x)) / 2.0
 
 
 def _spectral_starts(k: np.ndarray, dim_a: int) -> np.ndarray:
@@ -340,12 +314,6 @@ def _maximize(k: np.ndarray, starts: np.ndarray, budget: int) -> tuple[float, Me
 def _require_budget(budget: int | None) -> int:
     """The pair-step budget, ``BUDGET_DEFAULT`` for None; else an integer of at least 1."""
     return BUDGET_DEFAULT if budget is None else _require_int(budget, "budget", 1)
-
-
-def _require_seed(seed) -> None:
-    """Pass a SeedSequence or a non-negative int or numpy integer (not a bool); refuse the rest."""
-    if not isinstance(seed, np.random.SeedSequence):
-        _require_int(seed, "seed", 0)
 
 
 def _require_optimizable(dim_a: int) -> None:

@@ -635,27 +635,27 @@ def scipy_modules():
 import affinity_discord.cli
 at_import = scipy_modules()
 from affinity_discord import closed_form_2xn, sweep, werner_two_qubit
-from affinity_discord.measures import _maximize_grid, _overlap_kernel
+from affinity_discord.measures import _overlap_kernel, _two_level_oracle
 rows = sweep("werner2", [0.5])
 after_sweep = scipy_modules()
 state = werner_two_qubit(0.5)
-value = 1.0 - _maximize_grid(_overlap_kernel(state.sqrt(), 2, 2))
+value = 1.0 - _two_level_oracle(_overlap_kernel(state.sqrt(), 2, 2))
 print(json.dumps({
     "at_import": at_import,
     "after_sweep": after_sweep,
     "sweep_gap": max(row.gap for row in rows),
-    "grid_gap": abs(value - closed_form_2xn(state).value),
-    "after_grid": scipy_modules(),
+    "oracle_gap": abs(value - closed_form_2xn(state).value),
+    "after_oracle": scipy_modules(),
 }))
 """
 
 
-def test_no_scipy_module_loads_even_for_the_grid():
+def test_no_scipy_module_loads_even_for_the_oracle():
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=_src_env(), timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["at_import"] == report["after_sweep"] == report["after_grid"] == []
+    assert report["at_import"] == report["after_sweep"] == report["after_oracle"] == []
     assert report["sweep_gap"] < 1e-12
-    assert report["grid_gap"] < 1e-9
+    assert report["oracle_gap"] < 1e-9

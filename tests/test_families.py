@@ -255,6 +255,24 @@ def test_formulas_and_constructor_accept_and_reject_the_same_parameters(family):
 # --- sweep ------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "seed, error",
+    [
+        (-1, OutOfRangeError),
+        (1.5, ValidationError),
+        (True, ValidationError),
+        ("7", ValidationError),
+        (np.random.SeedSequence(7), ValidationError),
+    ],
+    ids=["negative", "float", "bool", "string", "seed-sequence"],
+)
+def test_sweep_takes_the_one_seed_rule(seed, error):
+    # the rule of run_checks and --seed: a non-negative int or numpy integer
+    with pytest.raises(error, match="seed"):
+        sweep("werner2", [0.5], seed=seed)
+    assert len(sweep("werner2", [0.5], seed=np.int64(3))) == 2
+
+
 def test_sweep_structure_and_gaps():
     params = np.linspace(-1 / 3, 1, 5)
     rows = sweep("werner2", params, seed=0)

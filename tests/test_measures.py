@@ -448,7 +448,7 @@ def _hs_closed_2xn(state):
 
 @settings(max_examples=20, deadline=None)
 @given(dim_b=st.integers(2, 6), data=st.data())
-def test_grid_optimum_matches_2xn_closed_forms(dim_b, data):
+def test_oracle_optimum_matches_2xn_closed_forms(dim_b, data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     rank = data.draw(st.integers(1, 2 * dim_b), label="rank")
     state = random_state(2, dim_b, rank=rank, seed=seed)
@@ -459,7 +459,7 @@ def test_grid_optimum_matches_2xn_closed_forms(dim_b, data):
         (optimize_hs_discord, np.asarray(state.rho), state.purity(), _hs_closed_2xn(state)),
     ]
     for optimizer, s, offset, exact in cases:
-        value = offset - measures._maximize_grid(measures._overlap_kernel(s, 2, dim_b))
+        value = offset - measures._two_level_oracle(measures._overlap_kernel(s, 2, dim_b))
         assert exact - 1e-12 <= value <= exact + 1e-9, optimizer.__name__
         # one pair, so one Jacobi step reaches the optimum
         res = optimizer(state)
@@ -468,26 +468,39 @@ def test_grid_optimum_matches_2xn_closed_forms(dim_b, data):
         assert res.evaluations <= 2
 
 
-def test_grid_oracle_follows_a_flat_direction_of_g():
-    # G's top two eigenvalues are 0.0019 apart; halving the lattice step at every level
-    # stopped 7.7e-8 short of the closed form, whose own basis attains its value
-    state = random_state(2, 4, rank=5, seed=22670)
-    value = 1.0 - measures._maximize_grid(measures._overlap_kernel(state.sqrt(), 2, 4))
+_ORACLE_CASES = {
+    # G's top two eigenvalues are 0.0019 apart, so a search over Bloch vectors can
+    # stall along the flat direction (one stopped 7.7e-8 short of the closed form here)
+    "flat-22670": lambda: random_state(2, 4, rank=5, seed=22670),
+    "werner-triple": lambda: werner_two_qubit(0.5),  # G = c 1, a triple top
+    "belldiag-double": lambda: bell_diagonal(0.3, 0.3, 0.1),  # a double top
+    "mixed-zero": lambda: product_state(np.eye(2) / 2, np.eye(3) / 3),  # G = 0
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_oracle_follows_a_flat_direction_of_g(case):
+    state = _ORACLE_CASES[case]()
+    k = measures._overlap_kernel(state.sqrt(), 2, state.dim_b)
+    value = 1.0 - measures._two_level_oracle(k)
     exact = closed_form_2xn(state).value
     assert exact - 1e-12 <= value <= exact + 1e-9
 
 
-def test_grid_oracle_runs_without_eigh(monkeypatch):
-    # the oracle checks the closed form, whose value is an eigenvalue, so it must not use eigh
+def test_oracle_runs_without_an_eigensolver(monkeypatch):
+    # the oracle checks the closed form, whose value is an eigenvalue, so it must not
+    # call an eigensolver or an SVD
     state = random_state(2, 3, seed=5)
     k = measures._overlap_kernel(state.sqrt(), 2, 3)
     exact = closed_form_2xn(state).value
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigh called")
+    for name in ("eigh", "eigvalsh", "eig", "svd"):
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    value = 1.0 - measures._maximize_grid(k)
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called")
+
+        monkeypatch.setattr(np.linalg, name, refuse)
+    value = 1.0 - measures._two_level_oracle(k)
     assert exact - 1e-12 <= value <= exact + 1e-9
 
 
@@ -505,6 +518,51 @@ def test_literal_affinity_reading_differs_from_functional():
     comp = MeasurementBasis(2, np.eye(2))
     assert abs(1.0 - affinity(cq, post_measurement(cq, comp))) < 1e-7
     assert abs(affinity_discord_at(cq, comp)) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim_a=st.integers(1, 3), dim_b=st.integers(1, 3), data=st.data())
+def test_literal_affinity_form_never_exceeds_the_functional(dim_a, dim_b, data):
+    # Pi is unital and sqrt operator concave, so Pi(sqrt(rho)) <= sqrt(Pi(rho)) (operator
+    # Jensen) and 1 - A(rho, Pi(rho)) <= 1 - Tr(sqrt(rho) Pi(sqrt(rho))) at every basis
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rank = data.draw(st.integers(1, dim_a * dim_b), label="rank")
+    state = random_state(dim_a, dim_b, rank=rank, seed=seed)
+    basis = MeasurementBasis(dim_a, linalg.haar_unitary(dim_a, seed=seed).T)
+    literal = 1.0 - affinity(state, post_measurement(state, basis))
+    assert literal <= affinity_discord_at(state, basis) + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim_a=st.integers(1, 3), dim_b=st.integers(1, 3), data=st.data())
+def test_literal_affinity_form_equals_the_functional_on_classical_quantum_states(dim_a, dim_b, data):
+    # rotated by U on A, a classical-quantum state is fixed by the pinching in U's
+    # columns, where both forms vanish
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    blocks = [random_density(dim_b, rank=int(rng.integers(1, dim_b + 1)), seed=rng) for _ in range(dim_a)]
+    cq = np.asarray(classical_quantum(rng.dirichlet(np.ones(dim_a)), blocks).rho)
+    u = linalg.haar_unitary(dim_a, seed=rng)
+    big = np.kron(u, np.eye(dim_b))
+    state = validate(big @ cq @ big.conj().T, dim_a, dim_b)
+    basis = MeasurementBasis(dim_a, u.T)
+    literal = 1.0 - affinity(state, post_measurement(state, basis))
+    functional = affinity_discord_at(state, basis)
+    assert abs(literal - functional) <= 1e-12
+    assert abs(functional) <= 1e-12
+
+
+def test_literal_affinity_form_on_a_pure_state_at_its_schmidt_basis():
+    # A(psi, Pi(psi)) = sum_k p_k^(3/2) for the Schmidt weights p_k, where the functional
+    # reads 1 - sum_k p_k^2
+    psi = random_pure_state(3, 3, seed=5)
+    u, sv, _ = np.linalg.svd(psi.amplitudes.reshape(3, 3))
+    p = sv**2
+    state, basis = psi.to_density(), MeasurementBasis(3, u.T)
+    literal = 1.0 - affinity(state, post_measurement(state, basis))
+    assert abs(literal - (1.0 - np.sum(p**1.5))) <= 1e-12
+    assert abs(affinity_discord_at(state, basis) - (1.0 - np.sum(p**2))) <= 1e-12
+    assert literal < affinity_discord_at(state, basis)
 
 
 # --- pure-state closed form -----------------------------------------------------

@@ -70,7 +70,7 @@ def _compute(tmp_path, capsys, state, measure) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("name, measure", sorted(ROUTES), ids="-".join)
+@pytest.mark.parametrize("name, measure", sorted(ROUTES), ids=str)
 def test_route_table(tmp_path, capsys, name, measure):
     state = STATES[name]()
     if ROUTES[name, measure] is None:
