@@ -26,7 +26,7 @@ from .measures import (
     _optimizer,
     _require_budget,
 )
-from .states import _as_pure, load_state, schmidt_spectrum
+from .states import load_state
 from .verification import CHECK_NAMES, run_checks
 
 _BOUND_MAX_DIM = 64  # larger systems get no bound: its Gell-Mann tables grow as d^4
@@ -43,13 +43,6 @@ def _complex_cells(matrix: np.ndarray) -> list:
     ]
 
 
-def _measurement_payload(result):
-    payload = {"vectors": _complex_cells(result.optimal_measurement.vectors)}
-    if result.parameters is not None:
-        payload["parameters"] = [float(x) for x in np.asarray(result.parameters).ravel()]
-    return payload
-
-
 def _measure_entry(state, measure, method, budget) -> dict:
     """One measure's entry: ``auto`` is ``discord``'s route, ``optimize`` the optimizer. The
     bound comes after the result, so a dimension the result refuses exits 3 first."""
@@ -61,27 +54,21 @@ def _measure_entry(state, measure, method, budget) -> dict:
         "value": float(result.value),
         "method": result.method,
         "evaluations": int(result.evaluations),
-        "optimal_measurement": _measurement_payload(result),
+        "optimal_measurement": {"vectors": _complex_cells(result.optimal_measurement.vectors)},
     }
     if measure in _SQRT_MEASURES and state.dim <= _BOUND_MAX_DIM:
-        bound = lower_bound(state)
-        entry["bound"] = bound
-        entry["bound_clamped"] = max(0.0, bound)
+        entry["bound"] = lower_bound(state)
     return entry
 
 
 def cmd_compute(args) -> int:
     state = load_state(args.state)
-    psi = _as_pure(state)
     measures = MEASURES if args.measure == "all" else [args.measure]
     entries = {m: _measure_entry(state, m, args.method, args.budget) for m in measures}
     diagnostics = {
         "purity": state.purity(),
         "marginal_spectrum_a": [float(x) for x in np.linalg.eigvalsh(state.marginal("a"))],
         "marginal_spectrum_b": [float(x) for x in np.linalg.eigvalsh(state.marginal("b"))],
-        "schmidt_spectrum": (
-            None if psi is None else [float(x) for x in schmidt_spectrum(psi)]
-        ),
     }
     report = {
         "command": "compute",

@@ -171,9 +171,8 @@ def closed_form_2xn(state: BipartiteState) -> DiscordResult:
     if state.dim_a != 2:
         raise WrongDimensionError(f"closed form requires dim_a = 2, got {state.dim_a}")
     value, vecs = _traceless_spectrum(state)
-    direction = vecs[:, -1]
-    basis = MeasurementBasis(2, _qubit_kets(direction))
-    return DiscordResult(value, "closed-2xn", basis, parameters=direction, evaluations=0)
+    basis = MeasurementBasis(2, _qubit_kets(vecs[:, -1]))
+    return DiscordResult(value, "closed-2xn", basis)
 
 
 def discord(

@@ -91,16 +91,14 @@ class MeasurementBasis:
 class DiscordResult:
     """Discord value with the method that produced it and a basis on A that reaches it.
 
-    ``method`` is one of closed-pure, closed-2xn, optimized-local. closed-2xn carries
-    the Bloch direction in ``parameters``; optimized-local comes from the Jacobi
-    sweeps, for one- and two-level A too, with ``evaluations`` counting the pair steps
-    of all starts.
+    ``method`` is one of closed-pure, closed-2xn, optimized-local. optimized-local comes
+    from the Jacobi sweeps, for one- and two-level A too, with ``evaluations`` counting
+    the pair steps of all starts.
     """
 
     value: float
     method: str
     optimal_measurement: MeasurementBasis
-    parameters: np.ndarray | None = None
     evaluations: int = 0
 
 
@@ -240,7 +238,7 @@ def pure_discord(psi: PureState) -> DiscordResult:
     u, sv, _ = np.linalg.svd(psi.amplitudes.reshape(psi.dim_a, psi.dim_b))
     value = 1.0 - float(np.sum(sv**4))
     basis = MeasurementBasis(psi.dim_a, u.T)
-    return DiscordResult(value, "closed-pure", basis, parameters=None, evaluations=0)
+    return DiscordResult(value, "closed-pure", basis)
 
 
 # --- optimization over projective measurements --------------------------------

@@ -334,7 +334,7 @@ def state_from_json(text: str) -> BipartiteState:
         if len({len(row) for row in matrix}) > 1:
             raise ValidationError("matrix rows differ in length")
         rho = np.array(vals, dtype=np.float64).view(np.complex128).reshape(len(matrix), -1)
-    except (KeyError, TypeError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
     return validate(rho, dim_a, dim_b)
 

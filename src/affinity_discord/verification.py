@@ -37,7 +37,6 @@ from .measures import (
 from .states import (
     append_ancilla,
     classical_quantum,
-    isotropic,
     maximally_entangled,
     product_state,
     random_density,
@@ -45,7 +44,6 @@ from .states import (
     random_state,
     schmidt_spectrum,
     validate,
-    werner_general,
     werner_two_qubit,
 )
 DEFAULT_CHECK_TOLERANCES: dict[str, float] = {
@@ -294,18 +292,10 @@ def check_family_zeros_asymptotics(seed) -> CheckResult:
 def check_m3_family_optimization(seed) -> CheckResult:
     """Multistart optimizer reproduces the analytic m=3 Werner and isotropic values."""
     rng = np.random.default_rng(_child(seed))
-    gap = 0.0
-    for x in rng.uniform(-1.0, 1.0, 5):
-        state = werner_general(3, x)
-        expected, _ = werner_general_discords(3, x)
-        opt = optimize_affinity_discord(state).value
-        gap = max(gap, abs(opt - expected))
-    for x in rng.uniform(0.0, 1.0, 5):
-        state = isotropic(3, x)
-        expected, _ = isotropic_discords(3, x)
-        opt = optimize_affinity_discord(state).value
-        gap = max(gap, abs(opt - expected))
-    return _result("m3_family_optimization", {"m3_gap": gap}, {"states": 10})
+    rows = sweep("werner", rng.uniform(-1.0, 1.0, 5), measures=("affinity",), dim=3)
+    rows += sweep("isotropic", rng.uniform(0.0, 1.0, 5), measures=("affinity",), dim=3)
+    gap = max(row.gap for row in rows)
+    return _result("m3_family_optimization", {"m3_gap": gap}, {"states": len(rows)})
 
 
 def check_numerical_substrate(seed) -> CheckResult:

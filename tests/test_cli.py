@@ -62,7 +62,24 @@ def test_compute_bell_state(bell_file, capsys):
     assert entry["value"] == pytest.approx(0.5, abs=1e-10)
     assert entry["method"] == "closed-pure"  # rank-1 wins the auto resolution
     assert entry["bound"] == pytest.approx(0.5, abs=1e-10)
-    assert report["diagnostics"]["schmidt_spectrum"] == pytest.approx([0.5, 0.5], abs=1e-10)
+    assert report["diagnostics"]["marginal_spectrum_a"] == pytest.approx([0.5, 0.5], abs=1e-10)
+
+
+def test_compute_pure_state_takes_one_svd(tmp_path, capsys, monkeypatch):
+    # pure_discord's SVD gives the value; the report prints no second copy of the spectrum
+    path = tmp_path / "pure.json"
+    save_state(random_pure_state(2, 32, seed=5).to_density(), path)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    code, _, err = run_cli(capsys, "compute", "--state", str(path))
+    assert code == 0, err
+    assert calls == [(2, 32)]
 
 
 def test_compute_auto_agrees_with_optimize_on_pure_state(bell_file, capsys):
@@ -102,7 +119,6 @@ def test_compute_nearly_pure_state_takes_the_2xn_closed_form(tmp_path, capsys, d
     report = json.loads(out)
     entry = report["measures"]["affinity"]
     assert entry["method"] == "closed-2xn"
-    assert report["diagnostics"]["schmidt_spectrum"] is None
     exact = closed_form_2xn(load_state(path)).value
     assert abs(entry["value"] - exact) < DEFAULT_CHECK_TOLERANCES["lu_closed"]
 
@@ -137,7 +153,8 @@ def test_compute_reports_the_bound_up_to_dimension_64(tmp_path, capsys, dim_b, h
     assert code == 0
     entry = json.loads(out)["measures"]["affinity"]
     assert entry["method"] == "closed-2xn"
-    assert ("bound" in entry) == ("bound_clamped" in entry) == has_bound
+    assert ("bound" in entry) == has_bound
+    assert "bound_clamped" not in entry
 
 
 @pytest.mark.parametrize("measure", ["affinity", "remedied", "hs", "all"])
@@ -204,6 +221,22 @@ def test_compute_non_utf8_state_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ValidationError"
+
+
+def test_compute_deeply_nested_state_exits_2_with_one_json_line(tmp_path):
+    # a separate process, so a traceback would reach stderr: json.loads raises
+    # RecursionError on this nesting, which the reader turns into a ValidationError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "affinity_discord", "compute", "--state", str(path)],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "ValidationError"
+    assert "Traceback" not in proc.stderr
 
 
 def test_compute_out_directory_exits_2(bell_file, tmp_path, capsys):

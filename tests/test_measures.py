@@ -665,7 +665,6 @@ def test_local_route_finds_zero_on_rotated_uniform_cq(m):
     for optimizer in (optimize_affinity_discord, optimize_hs_discord):
         res = optimizer(state)
         assert res.method == "optimized-local"
-        assert res.parameters is None
         assert abs(res.value) < DEFAULT_CHECK_TOLERANCES["zero_discord"], optimizer.__name__
 
 

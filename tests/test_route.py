@@ -91,6 +91,24 @@ def test_route_table(tmp_path, capsys, name, measure):
     assert np.array_equal(_vectors(entry), result.optimal_measurement.vectors)
 
 
+@pytest.mark.parametrize(
+    "name, measure", sorted(key for key, method in ROUTES.items() if method), ids=str
+)
+def test_report_shape(tmp_path, capsys, name, measure):
+    # an entry carries only what no other field implies; its keys follow one rule, the bound's
+    state = STATES[name]()
+    code, out, err = _compute(tmp_path, capsys, state, measure)
+    assert code == cli.EXIT_OK, err
+    report = json.loads(out)
+    entry = report["measures"][measure]
+    keys = {"value", "method", "evaluations", "optimal_measurement"}
+    if measure in ("affinity", "remedied") and state.dim_a * state.dim_b <= 64:
+        keys.add("bound")
+    assert set(entry) == keys
+    assert set(entry["optimal_measurement"]) == {"vectors"}
+    assert set(report["diagnostics"]) == {"purity", "marginal_spectrum_a", "marginal_spectrum_b"}
+
+
 def _vectors(entry) -> np.ndarray:
     cells = entry["optimal_measurement"]["vectors"]
     return np.array([[z["re"] + 1j * z["im"] for z in row] for row in cells])
@@ -99,7 +117,7 @@ def _vectors(entry) -> np.ndarray:
 def test_every_result_carries_a_basis():
     # no route reports a value without the measurement that reaches it
     fields = {f.name: f for f in dataclasses.fields(DiscordResult)}
-    assert list(fields) == ["value", "method", "optimal_measurement", "parameters", "evaluations"]
+    assert list(fields) == ["value", "method", "optimal_measurement", "evaluations"]
     assert fields["optimal_measurement"].default is dataclasses.MISSING
 
 

@@ -422,6 +422,8 @@ def test_json_reader_rejects_malformed():
         state_from_json("{not json")
     with pytest.raises(ValidationError):
         state_from_json('{"dim_a": 2}')
+    with pytest.raises(ValidationError):  # json.loads raises RecursionError on deep nesting
+        state_from_json("[" * 100_000 + "]" * 100_000)
 
 
 def test_json_reader_refuses_boolean_cells():
