@@ -306,34 +306,83 @@ def random_pure_state(dim_a: int, dim_b: int, seed=None) -> PureState:
 
 # --- JSON state files -------------------------------------------------------
 #
-# {"dim_a": m, "dim_b": n, "matrix": [[{"re": r, "im": i}, ...], ...]}
-# row-major; the writer emits 17 significant digits.
+# {"dim_a": m, "dim_b": n, "re": [[...], ...], "im": [[...], ...]}
+# the real and imaginary parts as row-major matrices of numbers; the writer
+# emits each number with 17 significant digits. The legacy layout of one
+# object per cell, {"dim_a": m, "dim_b": n, "matrix": [[{"re": r, "im": i}, ...], ...]},
+# is still read; a file carrying both layouts is refused.
 
 
 def state_to_json(state: BipartiteState) -> str:
-    n = state.rho.shape[1]
-    row_fmt = "    [" + ", ".join(['{"re": %.17g, "im": %.17g}'] * n) + "]"
-    # each row as its interleaved re, im floats, formatted by one % per row
-    cells = np.ascontiguousarray(state.rho).view(np.float64).tolist()
-    rows = [row_fmt % tuple(row) for row in cells]
-    body = ",\n".join(rows)
+    """The state file of ``state``: its dimensions and the ``re`` and ``im`` matrices of ``rho``.
+
+    Each number is written with ``%.17g``, which round-trips every float64,
+    so :func:`state_from_json` reads back the numbers written, signed zeros
+    included.
+    """
+    row_fmt = "    [" + ", ".join(["%.17g"] * state.rho.shape[1]) + "]"
+    re, im = (
+        ",\n".join(row_fmt % tuple(row) for row in part.tolist())
+        for part in (state.rho.real, state.rho.imag)
+    )
     return (
-        '{\n  "dim_a": %d,\n  "dim_b": %d,\n  "matrix": [\n%s\n  ]\n}\n'
-        % (state.dim_a, state.dim_b, body)
+        '{\n  "dim_a": %d,\n  "dim_b": %d,\n  "re": [\n%s\n  ],\n  "im": [\n%s\n  ]\n}\n'
+        % (state.dim_a, state.dim_b, re, im)
     )
 
 
+def _parse_int(token: str):
+    # %.17g writes -0.0 as -0, an integer token, which json would read as +0
+    return -0.0 if token == "-0" else int(token, 10)
+
+
+_DECODER = json.JSONDecoder(parse_int=_parse_int)
+
+
+def _require_numbers(types: set) -> None:
+    if not types <= {float, int}:  # true must not read as 1
+        raise ValidationError("matrix entries must be JSON numbers")
+
+
+def _matrix_from_parts(re, im) -> np.ndarray:
+    """The complex matrix of the ``re`` and ``im`` number matrices."""
+    for part in (re, im):
+        _require_numbers({type(x) for row in part for x in row})
+    re, im = np.array(re, dtype=np.float64), np.array(im, dtype=np.float64)
+    if re.ndim != 2 or re.shape != im.shape:
+        raise ValidationError(
+            f"'re' and 'im' must be matrices of one shape, got shapes {re.shape} and {im.shape}"
+        )
+    rho = np.empty(re.shape, dtype=np.complex128)
+    rho.real, rho.imag = re, im
+    return rho
+
+
+def _matrix_from_cells(matrix) -> np.ndarray:
+    """The complex matrix of the legacy ``matrix`` of ``{"re", "im"}`` cells."""
+    vals = [x for row in matrix for cell in row for x in (cell["re"], cell["im"])]
+    _require_numbers(set(map(type, vals)))
+    if len({len(row) for row in matrix}) > 1:
+        raise ValidationError("matrix rows differ in length")
+    return np.array(vals, dtype=np.float64).view(np.complex128).reshape(len(matrix), -1)
+
+
 def state_from_json(text: str) -> BipartiteState:
+    """The checked state of a state file in either layout; see :func:`state_to_json`.
+
+    A malformed file (not JSON, a missing key, a non-number or ragged
+    entry, parts of different shapes, both layouts in one file) raises
+    :class:`ValidationError`, and the matrix then passes :func:`validate`.
+    """
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
         dim_a, dim_b = doc["dim_a"], doc["dim_b"]
-        matrix = doc["matrix"]
-        vals = [x for row in matrix for cell in row for x in (cell["re"], cell["im"])]
-        if not set(map(type, vals)) <= {float, int}:  # true must not read as 1
-            raise ValidationError("matrix entries must be JSON numbers")
-        if len({len(row) for row in matrix}) > 1:
-            raise ValidationError("matrix rows differ in length")
-        rho = np.array(vals, dtype=np.float64).view(np.complex128).reshape(len(matrix), -1)
+        if "matrix" not in doc:
+            rho = _matrix_from_parts(doc["re"], doc["im"])
+        elif "re" in doc or "im" in doc:
+            raise ValidationError("both 'matrix' and 're'/'im' are present")
+        else:
+            rho = _matrix_from_cells(doc["matrix"])
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
     return validate(rho, dim_a, dim_b)

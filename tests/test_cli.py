@@ -34,6 +34,7 @@ from affinity_discord.verification import DEFAULT_CHECK_TOLERANCES, run_checks
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+LEGACY_STATE = ROOT / "tests" / "data" / "state_2x3_legacy.json"
 
 
 def _src_env():
@@ -182,24 +183,58 @@ def test_compute_invalid_state_exits_2(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+def _with_first_real_part(token):
+    """A valid state file in each layout, the real part of its first entry replaced by a raw token."""
+    files = {
+        "dense": state_to_json(validate(np.eye(4) / 4.0, 2, 2)),
+        "legacy": LEGACY_STATE.read_text(),
+    }
+    bad = {
+        "dense": files["dense"].replace('"re": [\n    [0.25,', f'"re": [\n    [{token},', 1),
+        "legacy": re.sub(r'"re": [^,]+,', f'"re": {token},', files["legacy"], count=1),
+    }
+    assert all(bad[k] != files[k] for k in files)  # the replacement matched in each layout
+    return bad
+
+
+def _compute_errors(tmp_path, capsys, files):
+    """Each file's exit code and error name under ``compute``."""
+    results = {}
+    for layout, text in files.items():
+        path = tmp_path / f"{layout}.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "compute", "--state", str(path))
+        results[layout] = (code, json.loads(err)["error"] if err else None)
+    return results
+
+
 @pytest.mark.parametrize("cell", ["NaN", "Infinity"])
 def test_compute_non_finite_state_exits_2(tmp_path, capsys, cell):
-    text = state_to_json(validate(np.eye(4) / 4.0, 2, 2))
-    path = tmp_path / "nonfinite.json"
-    path.write_text(text.replace('"re": 0.25', f'"re": {cell}', 1))
-    code, _, err = run_cli(capsys, "compute", "--state", str(path))
-    assert code == 2
-    assert json.loads(err)["error"] == "ValidationError"
+    results = _compute_errors(tmp_path, capsys, _with_first_real_part(cell))
+    assert results == {k: (2, "ValidationError") for k in ("dense", "legacy")}
 
 
 def test_compute_overflowing_number_exits_2(tmp_path, capsys):
     # a 400-digit integer is valid JSON but overflows the float cast (1e400 reads as inf)
-    text = state_to_json(validate(np.eye(4) / 4.0, 2, 2))
-    path = tmp_path / "overflow.json"
-    path.write_text(text.replace('"re": 0.25', '"re": 1' + "0" * 400, 1))
-    code, _, err = run_cli(capsys, "compute", "--state", str(path))
-    assert code == 2
-    assert json.loads(err)["error"] == "ValidationError"
+    results = _compute_errors(tmp_path, capsys, _with_first_real_part("1" + "0" * 400))
+    assert results == {k: (2, "ValidationError") for k in ("dense", "legacy")}
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        '"re": [[true, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]',
+        '"re": [[0.5, 0, 0], [0.5]], "im": [[0, 0], [0, 0]]',
+        '"re": [[[0.5], [0]], [[0], [0.5]]], "im": [[0, 0], [0, 0]]',
+        '"re": [[0.5, 0], [0, 0.5]], "im": [[0, 0, 0], [0, 0, 0]]',
+        '"re": [[0.5, 0], [0, 0.5]]',
+        '"re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]], "matrix": [[{"re": 0.5, "im": 0}]]',
+    ],
+    ids=["boolean", "ragged", "3-D", "shapes", "no-im", "both-layouts"],
+)
+def test_compute_malformed_dense_state_exits_2(tmp_path, capsys, parts):
+    files = {"dense": '{"dim_a": 1, "dim_b": 2, %s}' % parts}
+    assert _compute_errors(tmp_path, capsys, files) == {"dense": (2, "ValidationError")}
 
 
 def test_compute_missing_file_exits_2(capsys):

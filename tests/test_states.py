@@ -1,9 +1,12 @@
 """Tests for state construction, validation, and serialization."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinity_discord import linalg
 from affinity_discord.correlation import gell_mann_basis
@@ -41,6 +44,8 @@ from affinity_discord.states import (
     werner_two_qubit,
     PureState,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 # --- validate ----------------------------------------------------------------
@@ -371,30 +376,44 @@ def test_json_round_trip_exact(tmp_path):
     assert np.array_equal(loaded.rho, state.rho)
 
 
+@settings(max_examples=60, deadline=None)
+@given(dim_a=st.integers(1, 4), dim_b=st.integers(1, 8), data=st.data())
+def test_json_round_trip_is_bit_exact_at_every_rank(dim_a, dim_b, data):
+    rank = data.draw(st.integers(1, dim_a * dim_b), label="rank")
+    state = random_state(dim_a, dim_b, rank=rank, seed=data.draw(st.integers(0, 2**32), label="seed"))
+    rho = state_from_json(state_to_json(state)).rho
+    # the same bits, not only equal values
+    assert rho.tobytes() == state.rho.tobytes()
+
+
+def test_legacy_state_file_reads_as_its_new_layout_copy():
+    # the same 2 x 3 state, written once in the legacy layout of one object per cell
+    legacy, dense = load_state(DATA / "state_2x3_legacy.json"), load_state(DATA / "state_2x3.json")
+    assert (legacy.dim_a, legacy.dim_b) == (dense.dim_a, dense.dim_b) == (2, 3)
+    assert legacy.rho.tobytes() == dense.rho.tobytes()
+    assert state_to_json(legacy) == (DATA / "state_2x3.json").read_text()
+
+
 def test_json_writer_deterministic():
     state = random_state(2, 2, seed=13)
     assert state_to_json(state) == state_to_json(state)
 
 
-def _json_by_cells(state):
+def _json_by_number(state):
     # the writer's format, one format() call per number
-    rows = []
-    for row in state.rho:
-        cells = ", ".join(
-            '{"re": %s, "im": %s}' % (format(float(z.real), ".17g"), format(float(z.imag), ".17g"))
-            for z in row
-        )
-        rows.append("    [" + cells + "]")
-    body = ",\n".join(rows)
-    return '{\n  "dim_a": %d,\n  "dim_b": %d,\n  "matrix": [\n%s\n  ]\n}\n' % (
-        state.dim_a, state.dim_b, body
+    def matrix(part):
+        rows = ("    [" + ", ".join(format(float(x), ".17g") for x in row) + "]" for row in part)
+        return ",\n".join(rows)
+
+    return '{\n  "dim_a": %d,\n  "dim_b": %d,\n  "re": [\n%s\n  ],\n  "im": [\n%s\n  ]\n}\n' % (
+        state.dim_a, state.dim_b, matrix(state.rho.real), matrix(state.rho.imag)
     )
 
 
 @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 2), (2, 32)])
 def test_json_writer_matches_per_cell_formatting(dims):
     state = random_state(*dims, seed=sum(dims))
-    assert state_to_json(state) == _json_by_cells(state)
+    assert state_to_json(state) == _json_by_number(state)
 
 
 def test_json_writer_formats_edge_values_per_cell():
@@ -406,9 +425,9 @@ def test_json_writer_formats_edge_values_per_cell():
     state = SimpleNamespace(dim_a=2, dim_b=2, rho=rho)
     assert state.rho.flags.f_contiguous
     text = state_to_json(state)
-    assert text == _json_by_cells(state)
-    assert '"re": -0,' in text and "4.9406564584124654e-324" in text and "1e+308" in text
-    assert '"im": -1.5e-09' in text
+    assert text == _json_by_number(state)
+    assert '"re": [\n    [-0, 4.9406564584124654e-324, 1e+308, -0],' in text
+    assert '"im": [\n    [0, 0, 0, -1.5e-09],' in text
 
 
 def test_json_reader_validates():
@@ -426,20 +445,73 @@ def test_json_reader_rejects_malformed():
         state_from_json("[" * 100_000 + "]" * 100_000)
 
 
+def _state_files(re_rows, im_rows, dim_a=1, dim_b=2):
+    """One matrix, given as rows of raw JSON tokens, as a state file in each layout."""
+    def matrix(rows):
+        return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+
+    cells = [
+        ['{"re": %s, "im": %s}' % pair for pair in zip(re_row, im_row)]
+        for re_row, im_row in zip(re_rows, im_rows)
+    ]
+    head = '{"dim_a": %d, "dim_b": %d, ' % (dim_a, dim_b)
+    return {
+        "dense": head + '"re": %s, "im": %s}' % (matrix(re_rows), matrix(im_rows)),
+        "legacy": head + '"matrix": %s}' % matrix(cells),
+    }
+
+
 def test_json_reader_refuses_boolean_cells():
-    text = '{"dim_a": 1, "dim_b": 1, "matrix": [[{"re": true, "im": false}]]}'
-    with pytest.raises(ValidationError):
-        state_from_json(text)
-    assert state_from_json(text.replace("true", "1").replace("false", "0")).rho[0, 0] == 1.0
+    for layout, text in _state_files([["true"]], [["false"]], dim_b=1).items():
+        with pytest.raises(ValidationError, match="JSON numbers"):
+            state_from_json(text)
+        assert state_from_json(text.replace("true", "1").replace("false", "0")).rho[0, 0] == 1.0, layout
 
 
 @pytest.mark.parametrize("rows", [[3, 1], [2, 1], [1, 2]])
 def test_json_reader_refuses_ragged_rows(rows):
-    # 3 + 1 cells would fill a 2 x 2 matrix if only the total were checked
-    cell = '{"re": 0.5, "im": 0}'
-    matrix = ", ".join("[" + ", ".join([cell] * n) + "]" for n in rows)
-    with pytest.raises(ValidationError):
-        state_from_json('{"dim_a": 1, "dim_b": 2, "matrix": [%s]}' % matrix)
+    # 3 + 1 entries would fill a 2 x 2 matrix if only the total were checked
+    ragged = [["0.5"] * n for n in rows]
+    for text in _state_files(ragged, [["0"] * n for n in rows]).values():
+        with pytest.raises(ValidationError):
+            state_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "re_part, im_part",
+    [
+        ("[[0.5, 0], [0, 0.5]]", "[[0, 0, 0], [0, 0, 0]]"),  # parts of different shapes
+        ("[[0.5, 0], [0, 0.5]]", "[[0, 0]]"),
+        ("[[[0.5], [0]], [[0], [0.5]]]", "[[0, 0], [0, 0]]"),  # nested deeper than 2-D
+        ("[0.5, 0.5]", "[0, 0]"),  # a vector
+        ("[]", "[]"),
+        ('"nope"', '"nope"'),
+        ("[[0.5, 0], [0, 0.5]]", None),  # no imaginary part
+    ],
+)
+def test_json_reader_refuses_malformed_parts(re_part, im_part):
+    im = "" if im_part is None else ', "im": %s' % im_part
+    with pytest.raises(ValidationError, match="malformed state file"):
+        state_from_json('{"dim_a": 1, "dim_b": 2, "re": %s%s}' % (re_part, im))
+
+
+def test_json_reader_refuses_a_file_in_both_layouts():
+    files = _state_files([["0.5", "0"], ["0", "0.5"]], [["0", "0"], ["0", "0"]])
+    for text in files.values():
+        assert state_from_json(text).rho[1, 1] == 0.5
+    both = files["dense"][:-1] + ", " + files["legacy"].split(", ", 2)[2]
+    with pytest.raises(ValidationError, match="both"):
+        state_from_json(both)
+
+
+def test_json_round_trip_keeps_signed_zeros():
+    # the singlet holds -0 imaginary parts, which %.17g writes as the JSON integer -0
+    state = bell_state(1, 1).to_density()
+    tokens = [[[format(x, ".17g") for x in row] for row in part] for part in (state.rho.real, state.rho.imag)]
+    assert any("-0" in row for row in tokens[1])
+    files = dict(_state_files(*tokens, dim_a=2, dim_b=2), writer=state_to_json(state))
+    for layout, text in files.items():
+        assert state_from_json(text).rho.tobytes() == state.rho.tobytes(), layout
 
 
 @pytest.mark.parametrize("dim_a, value", [(2, "2.7"), (2, "2.0"), (2, '"2"'), (1, "true")])
